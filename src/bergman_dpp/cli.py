@@ -105,6 +105,7 @@ def _cmd_sample(args) -> int:
             "n_eigen": conf.meta.n_eigen,
             "seed": args.seed,
             "replica": args.replica,
+            "sampler": conf.meta.sampler,
         }
         _emit(_report(cfg, [{"name": "sample", "values": conf.to_dict()}]), args.out)
     return 0

@@ -1,21 +1,21 @@
 """Exact simulation of the restricted determinantal process.
 
 Two phases.  First an independent Bernoulli draw per eigenvalue selects
-the active index set I.  Then positions are drawn sequentially: the i-th
-point follows the residual density
+the active index set I, m = |I|.  Then positions are drawn sequentially:
+the i-th point follows the residual density
 
-    p_i(x) = ( ||phi_I(x)||**2 - sum_{k < i} |<e_k, phi_I(x)>|**2 ) / (|I| - i + 1)
+    p_i(x) = ( ||phi_I(x)||**2 - sum_{k < i} |<e_k, phi_I(x)>|**2 ) / (m - i + 1)
 
-where e_1, .., e_{i-1} orthonormalize the feature vectors of the points
-already placed.  Proposals are uniform on the region (interval chosen
-proportionally to its area, radius by inverse transform, angle uniform)
-against the constant envelope sup ||phi_I||**2 / (|I| - i + 1); the sup
-sits at the outermost radius because every |phi_n| is nondecreasing in
-|x|.  The envelope is asserted on every evaluated proposal.
+where e_1, .., e_{i-1} orthonormalize (CGS2) the feature vectors of the
+points already placed.  Proposals come from the mixture ||phi_I||**2 / m:
+an index n uniform on I, an interval [a, b] with probability proportional
+to b**(2n+2) - a**(2n+2), r**(2n+2) inverted there in closed form, and a
+uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
+needs no envelope, and a configuration takes m H_m proposals on average
+(Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
 
-Stream discipline: proposals are consumed in fixed chunks of growing size,
-so a given (seed, replica) replays byte-identically regardless of how many
-rejections occur.
+Stream discipline: chunk sizes depend only on (m, i, chunk number), so a
+(seed, replica) replays byte-identically; SAMPLER_VERSION names the stream.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .streams import PHASE_CONJECTURE, PHASE_SAMPLE, make_rng
 
 __all__ = [
     "GS_NORM_FLOOR",
+    "SAMPLER_VERSION",
     "SamplerConfig",
     "ActiveIndexSet",
     "SampleMeta",
@@ -51,8 +52,9 @@ __all__ = [
 ]
 
 GS_NORM_FLOOR = 1e-12
-_CHUNKS = (8, 16, 32, 64, 128, 256)
-_ENVELOPE_SLACK = 1e-9
+SAMPLER_VERSION = "mixture-1"
+_CHUNK_CAP = 1024
+_RATIO_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ class ActiveIndexSet:
 @dataclass(frozen=True)
 class SampleMeta:
     """Provenance of one configuration: where, how truncated, which seed, and
-    the acceptance telemetry of the rejection sampler."""
+    the telemetry of the rejection sampler (rejections before each accepted
+    point; proposals drawn, in whole chunks)."""
 
     region: str
     n_eigen: int
@@ -126,6 +129,8 @@ class SampleMeta:
     proposals: int
     seed: int | None = None
     replica: int | None = None
+    # None for reports written before the field existed (uniform proposals)
+    sampler: str | None = SAMPLER_VERSION
 
     @property
     def acceptance_rate(self) -> float | None:
@@ -142,6 +147,7 @@ class SampleMeta:
             "proposals": self.proposals,
             "seed": self.seed,
             "replica": self.replica,
+            "sampler": self.sampler,
         }
 
     @classmethod
@@ -154,6 +160,7 @@ class SampleMeta:
             proposals=data["proposals"],
             seed=data.get("seed"),
             replica=data.get("replica"),
+            sampler=data.get("sampler"),
         )
 
 
@@ -204,14 +211,6 @@ def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveI
     return ActiveIndexSet(indices=tuple(int(i) for i in hits), n_eigen=n_eigen)
 
 
-def _propose(rng, c, a_sq, w_sq, cum_w):
-    u = rng.random((c, 3))
-    j = np.searchsorted(cum_w, u[:, 0] * cum_w[-1], side="right")
-    j = np.minimum(j, len(cum_w) - 1)
-    r = np.sqrt(a_sq[j] + u[:, 1] * w_sq[j])
-    return r * np.exp(2j * math.pi * u[:, 2])
-
-
 def sample_positions(
     spectrum: BergmanSpectrum,
     active: ActiveIndexSet,
@@ -226,81 +225,81 @@ def sample_positions(
     region = spectrum.region
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
-    meta = SampleMeta(
-        region=region.literal(),
-        n_eigen=active.n_eigen,
-        active_indices=active.indices,
-        rejections=(),
-        proposals=0,
-    )
-    if m == 0:
-        return PointConfiguration(points=(), meta=meta)
-
-    a = np.array([ai for ai, _ in region.intervals])
-    b = np.array([bi for _, bi in region.intervals])
-    a_sq = a * a
-    w_sq = b * b - a_sq
-    cum_w = np.cumsum(w_sq)
-
-    boundary = spectrum.feature_matrix(idx, np.array([complex(region.outer_radius)]))[0]
-    sup_sq = float(np.sum((boundary * boundary.conjugate()).real))
-
-    basis = np.zeros((m, m), dtype=complex)
     points: list[complex] = []
     rejections: list[int] = []
     proposals = 0
+    if m:
+        # a row per (index, interval) pair, index-major: b, (a/b)**k, 1 - (a/b)**k
+        # and 1/k for k = 2n + 2.  Pair masses (b**k - a**k) / B**k, B the outer
+        # radius, sum to lambda_n / B**k per index and are scaled to 1 below
+        a, b = np.array(region.intervals, dtype=float).T
+        k = 2.0 * idx[:, None] + 2.0
+        with np.errstate(divide="ignore"):
+            log_rho = k * np.log(a / b)  # -inf on a disc
+        gap = -np.expm1(log_rho)
+        table = np.stack(np.broadcast_arrays(b, np.exp(log_rho), gap, 1 / k), -1).reshape(-1, 4)
+        log_outer = math.log(region.outer_radius)
+        mass = np.exp(k * (np.log(b) - log_outer)) * gap
+        row = mass.sum(axis=1)
+        cum = np.cumsum(mass / row[:, None])
+        # log sqrt((n + 1) / (pi lambda_n)), finite even where lambda_n underflows
+        log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
+        basis = np.zeros((m, m), dtype=complex)
 
     for i in range(m):
-        remaining = m - i
-        envelope = sup_sq / remaining
-        consumed = 0
-        chunk_no = 0
-        accepted = None
-        while accepted is None:
-            c = _CHUNKS[min(chunk_no, len(_CHUNKS) - 1)]
+        conj_basis = basis[:i].conj()
+        consumed = chunk_no = 0
+        while True:
+            # the expected count ceil(m / (m - i)), doubled per further chunk
+            c = min(_CHUNK_CAP, -(-m // (m - i)) << chunk_no)
             chunk_no += 1
-            z = _propose(rng, c, a_sq, w_sq, cum_w)
-            accept_u = rng.random(c)
-            feats = spectrum.feature_matrix(idx, z)
-            dens = np.einsum("ij,ij->i", feats, feats.conj()).real
-            if i:
-                coef = feats @ basis[:i].conj().T
-                dens = dens - np.einsum("ij,ij->i", coef, coef.conj()).real
-            dens /= remaining
-            if np.any(dens > envelope * (1.0 + _ENVELOPE_SLACK) + 1e-300):
-                worst = float(dens.max())
+            u = rng.random((c, 4))
+            pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+            t = table[np.minimum(pick, len(table) - 1)]
+            # r**k uniform between a**k and b**k; 1 - u lies in (0, 1], so r > 0
+            r = t[:, 0] * (t[:, 1] + (1.0 - u[:, 1]) * t[:, 2]) ** t[:, 3]
+            log_z = np.log(r) + (2j * math.pi) * u[:, 2]
+            feats = np.exp(np.multiply.outer(log_z, idx) + log_inv)
+            norm_sq = np.square(feats.view(float)).sum(axis=1)
+            resid = norm_sq - np.square((feats @ conj_basis.T).view(float)).sum(axis=1)
+            # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as
+            # NaN; a proposal where every phi_n underflows counts as a rejection
+            ratio = resid / np.where(norm_sq > 0.0, norm_sq, 1.0)
+            if not ratio.min() >= -_RATIO_SLACK:
                 raise EnvelopeError(
-                    f"residual density {worst} exceeded its envelope {envelope} "
-                    f"at point {i + 1} of {m}"
+                    f"acceptance ratio {ratio.min()} outside [0, 1] at point {i + 1} of {m}"
                 )
             proposals += c
-            hits = np.nonzero(accept_u * envelope < dens)[0]
+            hits = np.flatnonzero(u[:, 3] < ratio)
             if len(hits):
-                j = int(hits[0])
-                accepted = (complex(z[j]), feats[j].copy())
-                rejections.append(consumed + j)
-            else:
-                consumed += c
-                if consumed >= max_rejections:
-                    raise RejectionBudgetError(
-                        f"no acceptance within {max_rejections} proposals at point "
-                        f"{i + 1} of {m} (envelope {envelope}, region {region.literal()})"
-                    )
-        z_i, phi = accepted
-        u_vec = phi
-        for _ in range(2):  # one re-orthogonalization pass
-            for k in range(i):
-                u_vec = u_vec - np.vdot(basis[k], u_vec) * basis[k]
-        nrm = float(np.linalg.norm(u_vec))
+                break
+            consumed += c
+            if consumed >= max_rejections:
+                raise RejectionBudgetError(
+                    f"no acceptance within {max_rejections} proposals at point "
+                    f"{i + 1} of {m} (region {region.literal()})"
+                )
+        j = int(hits[0])
+        rejections.append(consumed + j)
+        v = feats[j]
+        for _ in range(2):  # CGS2: classical Gram-Schmidt with one re-pass
+            v = v - (conj_basis @ v) @ basis[:i]
+        nrm = math.sqrt(np.vdot(v, v).real)
         if nrm < GS_NORM_FLOOR:
             raise OrthogonalizationError(
                 f"Gram-Schmidt residual {nrm} below {GS_NORM_FLOOR} at point "
                 f"{i + 1} of {m}: numerically duplicate draw"
             )
-        basis[i] = u_vec / nrm
-        points.append(z_i)
+        basis[i] = v / nrm
+        points.append(complex(np.exp(log_z[j])))
 
-    meta = replace(meta, rejections=tuple(rejections), proposals=proposals)
+    meta = SampleMeta(
+        region=region.literal(),
+        n_eigen=active.n_eigen,
+        active_indices=active.indices,
+        rejections=tuple(rejections),
+        proposals=proposals,
+    )
     return PointConfiguration(points=tuple(points), meta=meta)
 
 

@@ -102,6 +102,19 @@ def test_sample_to_file(tmp_path, capsys):
     assert text.startswith("re,im\n")
 
 
+def test_sample_report_names_stream_version(capsys):
+    rc, out, _ = run(
+        capsys, "sample", "--region", "disc:0.9", "--n-eigen", "9", "--format", "json"
+    )
+    assert rc == 0
+    data = json.loads(out)
+    assert data["config"]["sampler"] == "mixture-1"
+    assert data["results"][0]["values"]["meta"]["sampler"] == "mixture-1"
+    # a report written before the field existed still parses
+    del data["results"][0]["values"]["meta"]["sampler"]
+    assert parse_sample_report(json.dumps(data)).meta.sampler is None
+
+
 def test_parse_sample_report_rejects_other_reports():
     with pytest.raises(Exception):
         parse_sample_report(json.dumps({"version": "0.1.0", "config": {}, "results": []}))

@@ -16,13 +16,16 @@ from bergman_dpp import (
     SamplerConfig,
     bernoulli_phase,
     default_truncation,
+    intensity_profile_test,
     make_rng,
     min_radius_cdf,
     moduli_experiment,
+    parse_region_literal,
     sample,
     sample_moduli,
     sample_positions,
 )
+from bergman_dpp.sampler import SAMPLER_VERSION
 from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE
 from bergman_dpp.verify import ks_critical_value, ks_statistic
 
@@ -77,6 +80,16 @@ def test_point_configuration_roundtrip(disc09):
     mods = conf.moduli()
     assert np.all(np.diff(mods) >= 0.0)
     assert len(mods) == len(conf)
+
+
+def test_sample_meta_stream_version(disc09):
+    meta = sample(disc09, SamplerConfig(n_eigen=9, seed=11)).meta
+    assert meta.sampler == SAMPLER_VERSION == "mixture-1"
+    data = meta.to_dict()
+    assert data["sampler"] == "mixture-1"
+    # reports written before the field existed still load
+    del data["sampler"]
+    assert SampleMeta.from_dict(data).sampler is None
 
 
 def test_sample_meta_fields(disc09):
@@ -179,10 +192,103 @@ def test_angle_uniformity(disc08):
 
 
 def test_rejection_budget_error(disc09):
-    # acceptance rate ~ 1/101 for the lone index 100; one chunk of 8 exhausts it
-    active = ActiveIndexSet(indices=(100,), n_eigen=101)
+    # with 30 active indices the first chunk of point i holds ceil(30 / (30 - i))
+    # proposals, each accepted with probability (30 - i) / 30; a budget of one
+    # proposal ends the run at the first chunk without an acceptance
+    active = ActiveIndexSet(indices=tuple(range(30)), n_eigen=30)
     with pytest.raises(RejectionBudgetError):
-        sample_positions(disc09, active, make_rng(0), max_rejections=8)
+        sample_positions(disc09, active, make_rng(0), max_rejections=1)
+
+
+def test_single_index_accepts_first_proposal(disc09, annulus59):
+    # one active index: no basis yet, so the acceptance ratio is exactly 1
+    three = BergmanSpectrum(parse_region_literal("intervals:0.1-0.3,0.5-0.7,0.85-0.95"))
+    for spectrum in (disc09, annulus59, three):
+        for n in (0, 7, 100):
+            active = ActiveIndexSet(indices=(n,), n_eigen=n + 1)
+            for seed in range(5):
+                conf = sample_positions(spectrum, active, make_rng(seed))
+                assert conf.meta.rejections == (0,)
+                assert conf.meta.proposals == 1
+
+
+class _PinnedFirstDraw:
+    """Generator stand-in whose first random() call returns fixed rows."""
+
+    def __init__(self, rows, rng):
+        self.rows, self.rng = rows, rng
+
+    def random(self, shape):
+        if self.rows is None:
+            return self.rng.random(shape)
+        rows, self.rows = np.asarray(self.rows, dtype=float), None
+        assert rows.shape == shape
+        return rows
+
+
+def test_massless_proposal_is_rejected(disc09):
+    # a proposal at the origin has phi_n = 0 for every n > 0: the 0/0
+    # acceptance ratio counts as a rejection, not as NaN
+    active = ActiveIndexSet(indices=(1, 4), n_eigen=5)
+    rng = _PinnedFirstDraw([[0.2, 1.0, 0.3, 0.0]], make_rng(3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conf = sample_positions(disc09, active, rng)
+    assert conf.meta.rejections[0] == 1
+    assert all(0.0 < abs(z) <= 0.9 for z in conf.points)
+
+
+def _piecewise_radial_cdf(intervals, n):
+    # P(|z| <= r) for phi_n: sum_j (min(r, b_j)**k - a_j**k)_+ / lambda_n
+    k = 2 * n + 2
+    lam = sum(b**k - a**k for a, b in intervals)
+
+    def cdf(r):
+        r = np.asarray(r, dtype=float)
+        return sum(np.maximum(np.minimum(r, b) ** k - a**k, 0.0) for a, b in intervals) / lam
+
+    return cdf
+
+
+def test_single_index_radial_law_off_disc():
+    # interval choice and closed-form inversion, KS at alpha = 1e-3
+    reps = 2000
+    for literal in ("annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"):
+        spectrum = BergmanSpectrum(parse_region_literal(literal))
+        for n in (0, 5):
+            active = ActiveIndexSet(indices=(n,), n_eigen=n + 1)
+            rng = make_rng(41, n, PHASE_SAMPLE)
+            radii = [abs(sample_positions(spectrum, active, rng).points[0]) for _ in range(reps)]
+            cdf = _piecewise_radial_cdf(spectrum.region.intervals, n)
+            assert ks_statistic(radii, cdf) < ks_critical_value(reps, 1e-3), (literal, n)
+
+
+def test_intensity_profile_annulus(annulus59):
+    configs = [sample(annulus59, SamplerConfig(beta=5.0, seed=13), replica=r) for r in range(2000)]
+    edges = np.sqrt(np.linspace(0.25, 0.81, 6))
+    report = intensity_profile_test(configs, annulus59, list(zip(edges[:-1], edges[1:])), 1e-3)
+    assert report.passed
+
+
+def test_extreme_regions_stay_inside():
+    # a thin annulus near the boundary (trace 500, N = 2500 at beta 5) and a
+    # disc whose active set reaches past index 400 either place every point
+    # inside the closed region or fail with a named error
+    for literal in ("annulus:0.999:0.9995", "disc:0.995"):
+        spectrum = BergmanSpectrum(parse_region_literal(literal))
+        try:
+            conf = sample(spectrum, SamplerConfig(beta=5.0, seed=0))
+        except BergmanDPPError:
+            continue
+        if literal == "disc:0.995":
+            assert max(conf.meta.active_indices) >= 400
+        radii = np.abs(np.array(conf.points))
+        assert np.all(radii > 0.0) and not np.any(np.isnan(radii))
+        assert all(spectrum.region.contains_point(z) for z in conf.points)
+    # lambda_1000 of disc(0.5) underflows double precision; the sampler's
+    # log-space normalizers still place the point
+    active = ActiveIndexSet(indices=(0, 3, 400, 1000), n_eigen=1001)
+    conf = sample_positions(BergmanSpectrum.disc(0.5), active, make_rng(1))
+    assert all(0.0 < abs(z) <= 0.5 for z in conf.points)
 
 
 def test_positions_type_guards(disc09):
