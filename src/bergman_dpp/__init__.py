@@ -5,7 +5,6 @@ from .bounds import (
     BoundReport,
     build_bound_report,
     chernoff_lower,
-    chernoff_tail_bounds,
     chernoff_upper,
     coincidence_probability,
     coupling_tail,
@@ -45,25 +44,17 @@ from .regions import (
 )
 from .sampler import (
     ActiveIndexSet,
-    ModuliExperimentReport,
     PointConfiguration,
     SampleMeta,
     SamplerConfig,
     bernoulli_phase,
     default_truncation,
     min_radius_cdf,
-    moduli_experiment,
     sample,
     sample_moduli,
     sample_positions,
 )
-from .spectral import (
-    BergmanSpectrum,
-    GinibreSpectrum,
-    bergman_kernel,
-    ginibre_eigenvalue,
-    lower_regularized_gamma,
-)
+from .spectral import BergmanSpectrum, GinibreSpectrum, bergman_kernel
 from .streams import PHASE_BERNOULLI, PHASE_CONJECTURE, PHASE_MODULI, PHASE_SAMPLE, make_rng
 from .verify import (
     AuditResult,

@@ -25,7 +25,6 @@ __all__ = [
     "coincidence_probability",
     "chernoff_lower",
     "chernoff_upper",
-    "chernoff_tail_bounds",
     "sufficiency_margin",
     "ginibre_expected_count",
     "BoundReport",
@@ -118,11 +117,6 @@ def chernoff_upper(mean: float, c: float) -> float:
     return math.exp(-mean * ((1.0 + c) * math.log1p(c) - c))
 
 
-def chernoff_tail_bounds(mean: float, c: float) -> tuple[float, float]:
-    """Both Chernoff tails at the same fraction c in (0, 1)."""
-    return chernoff_lower(mean, c), chernoff_upper(mean, c)
-
-
 def sufficiency_margin(eps: float, n_eigen: int) -> float:
     """Margin 2N log(1-eps) - log(eps); negative once N functions suffice at level eps."""
     eps = float(eps)
@@ -152,7 +146,6 @@ class BoundReport:
     decay_rate: float
     wasserstein_bound: float
     coupling_tail: float
-    coincidence_bound: float
     coincidence_probability: float
 
     def to_dict(self) -> dict:
@@ -164,7 +157,6 @@ class BoundReport:
             "decay_rate": self.decay_rate,
             "wasserstein_bound": self.wasserstein_bound,
             "coupling_tail": self.coupling_tail,
-            "coincidence_bound": self.coincidence_bound,
             "coincidence_probability": self.coincidence_probability,
         }
 
@@ -190,16 +182,13 @@ def build_bound_report(
             raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
         n_eigen = int(n_eigen)
     n_r, g = truncation_constants(radius)
-    exponential = wasserstein_bound(radius, beta) if beta is not None else None
-    tail = coupling_tail(radius, n_eigen)
     return BoundReport(
         radius=radius,
         beta=beta,
         n_eigen=n_eigen,
         expected_count=n_r,
         decay_rate=g,
-        wasserstein_bound=exponential if exponential is not None else float("nan"),
-        coupling_tail=tail,
-        coincidence_bound=exponential if exponential is not None else float("nan"),
+        wasserstein_bound=wasserstein_bound(radius, beta) if beta is not None else float("nan"),
+        coupling_tail=coupling_tail(radius, n_eigen),
         coincidence_probability=coincidence_probability(radius, n_eigen, tol),
     )

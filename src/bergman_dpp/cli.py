@@ -34,7 +34,15 @@ from .sampler import (
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import PHASE_MODULI, PHASE_SAMPLE, make_rng
-from .verify import bound_audit, count_gof, count_pmf, ks_critical_value, ks_statistic, mc_count_stats
+from .verify import (
+    GofReport,
+    bound_audit,
+    count_gof,
+    count_pmf,
+    ks_critical_value,
+    ks_statistic,
+    mc_count_stats,
+)
 
 _DELTAS = (0.1, 0.01, 0.001)
 
@@ -218,24 +226,14 @@ def _cmd_verify(args) -> int:
     stat = ks_statistic(radii, lambda x: (x / 0.8) ** 2)
     thr = ks_critical_value(ks_reps)
     results.append(
-        {
-            "name": "positional-law:disc:0.8:index=0",
-            "values": {"statistic": stat, "threshold": thr, "sample_size": ks_reps},
-            "verdict": "pass" if stat <= thr else "fail",
-        }
+        GofReport("positional-law:disc:0.8:index=0", stat, thr, ks_reps, stat <= thr).to_dict()
     )
 
     rng = make_rng(args.seed, 0, PHASE_MODULI)
     minima = [sample_moduli(20, rng).min() for _ in range(args.reps)]
     stat = ks_statistic(minima, lambda x: min_radius_cdf(20, x))
     thr = ks_critical_value(args.reps)
-    results.append(
-        {
-            "name": "min-radius-law:n=20",
-            "values": {"statistic": stat, "threshold": thr, "sample_size": args.reps},
-            "verdict": "pass" if stat <= thr else "fail",
-        }
-    )
+    results.append(GofReport("min-radius-law:n=20", stat, thr, args.reps, stat <= thr).to_dict())
 
     ok = all(r.get("verdict", "pass") == "pass" for r in results)
     _emit(_report({"reps": args.reps, "seed": args.seed}, results), args.out)

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BergmanDPPError", "DomainError", "RegionError",
+    "RejectionBudgetError", "OrthogonalizationError", "EnvelopeError",
+]
+
 
 class BergmanDPPError(Exception):
     """Base class for every error raised by this package."""

@@ -32,7 +32,7 @@ from .errors import (
     RejectionBudgetError,
 )
 from .spectral import BergmanSpectrum
-from .streams import PHASE_CONJECTURE, PHASE_SAMPLE, make_rng
+from .streams import PHASE_SAMPLE, make_rng
 
 __all__ = [
     "GS_NORM_FLOOR",
@@ -47,8 +47,6 @@ __all__ = [
     "sample",
     "sample_moduli",
     "min_radius_cdf",
-    "ModuliExperimentReport",
-    "moduli_experiment",
 ]
 
 GS_NORM_FLOOR = 1e-12
@@ -344,110 +342,3 @@ def min_radius_cdf(n: int, x: float) -> float:
     k = np.arange(1, int(n) + 1, dtype=float)
     return -math.expm1(float(np.log1p(-(x ** (2.0 * k))).sum()))
 
-
-# ---------------------------------------------------------------------------
-# exploratory comparison of restricted moduli with powered uniforms
-
-
-def _ks_two_sample(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / len(xs)
-    fy = np.searchsorted(ys, grid, side="right") / len(ys)
-    return float(np.abs(fx - fy).max())
-
-
-@dataclass(frozen=True)
-class ModuliExperimentReport:
-    """Exploratory output only: no verdict is attached.
-
-    Two readings of the conditional powered-uniform law are compared with
-    the sampled moduli, both mapping an active index n to the exponent
-    1/(2(n+1)): 'literal' draws U uniform on [0, R] before the power,
-    'capped' scales the powered uniform into [0, R].
-    """
-
-    radius: float
-    reps: int
-    n_eigen: int
-    seed: int
-    runs_with_points: int
-    ks_min_literal: float | None
-    ks_min_capped: float | None
-    order_quantiles: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "exploratory": True,
-            "radius": self.radius,
-            "reps": self.reps,
-            "n_eigen": self.n_eigen,
-            "seed": self.seed,
-            "runs_with_points": self.runs_with_points,
-            "ks_min_literal": self.ks_min_literal,
-            "ks_min_capped": self.ks_min_capped,
-            "order_quantiles": self.order_quantiles,
-        }
-
-
-def moduli_experiment(
-    radius: float, config: SamplerConfig, reps: int, max_rank: int = 8
-) -> ModuliExperimentReport:
-    """Sample the restricted process and, conditioned on the same active set,
-    the two powered-uniform variants; report KS distances between min-radius
-    samples and per-rank quantile tables."""
-    if int(reps) != reps or reps < 1:
-        raise DomainError(f"reps must be a positive integer, got {reps}")
-    reps = int(reps)
-    spectrum = BergmanSpectrum.disc(radius)
-    n_eigen = config.resolve_truncation(spectrum)
-
-    dpp_sorted: list[np.ndarray] = []
-    lit_sorted: list[np.ndarray] = []
-    cap_sorted: list[np.ndarray] = []
-    for r in range(reps):
-        rng = make_rng(config.seed, r, PHASE_SAMPLE)
-        active = bernoulli_phase(spectrum, n_eigen, rng)
-        conf = sample_positions(spectrum, active, rng, config.max_rejections)
-        if len(conf) == 0:
-            continue
-        crng = make_rng(config.seed, r, PHASE_CONJECTURE)
-        us = crng.random((len(conf), 2))
-        expo = 1.0 / (2.0 * (np.array(active.indices, dtype=float) + 1.0))
-        dpp_sorted.append(conf.moduli())
-        lit_sorted.append(np.sort((us[:, 0] * radius) ** expo))
-        cap_sorted.append(np.sort(radius * us[:, 1] ** expo))
-
-    runs = len(dpp_sorted)
-    ks_lit = ks_cap = None
-    if runs:
-        dpp_min = np.array([m[0] for m in dpp_sorted])
-        ks_lit = _ks_two_sample(dpp_min, np.array([m[0] for m in lit_sorted]))
-        ks_cap = _ks_two_sample(dpp_min, np.array([m[0] for m in cap_sorted]))
-
-    probs = (0.1, 0.25, 0.5, 0.75, 0.9)
-    table: dict = {"probs": list(probs), "ranks": {}}
-    for rank in range(max_rank):
-        d = [m[rank] for m in dpp_sorted if len(m) > rank]
-        if not d:
-            break
-        li = [m[rank] for m in lit_sorted if len(m) > rank]
-        ca = [m[rank] for m in cap_sorted if len(m) > rank]
-        table["ranks"][rank] = {
-            "runs": len(d),
-            "dpp": [float(q) for q in np.quantile(d, probs)],
-            "literal": [float(q) for q in np.quantile(li, probs)],
-            "capped": [float(q) for q in np.quantile(ca, probs)],
-        }
-
-    return ModuliExperimentReport(
-        radius=float(radius),
-        reps=reps,
-        n_eigen=n_eigen,
-        seed=config.seed,
-        runs_with_points=runs,
-        ks_min_literal=ks_lit,
-        ks_min_capped=ks_cap,
-        order_quantiles=table,
-    )

@@ -13,11 +13,13 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = ["PHASE_SAMPLE", "PHASE_BERNOULLI", "PHASE_MODULI", "PHASE_CONJECTURE", "make_rng"]
+
 # phase tags (low 8 bits of the second key word)
 PHASE_SAMPLE = 0      # joint Bernoulli + position stream used by sample()
 PHASE_BERNOULLI = 1   # count-only Monte Carlo replicas
 PHASE_MODULI = 2      # radial-law draws
-PHASE_CONJECTURE = 3  # companion draws for the moduli experiment
+PHASE_CONJECTURE = 3  # reserved; retired moduli experiment
 
 _MASK64 = (1 << 64) - 1
 

@@ -324,7 +324,8 @@ def ks_statistic(samples, cdf) -> float:
         fs = np.asarray(cdf(xs), dtype=float)
         if fs.shape != xs.shape:
             raise TypeError
-    except TypeError:
+    except (TypeError, ValueError):
+        # a scalar-only cdf: one that branches on x raises ValueError on an array
         fs = np.array([float(cdf(x)) for x in xs])
     if np.any(fs < -1e-12) or np.any(fs > 1.0 + 1e-12):
         raise DomainError("cdf values escape [0, 1]")

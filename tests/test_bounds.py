@@ -9,7 +9,6 @@ from bergman_dpp import (
     DomainError,
     build_bound_report,
     chernoff_lower,
-    chernoff_tail_bounds,
     chernoff_upper,
     coincidence_probability,
     coupling_tail,
@@ -152,7 +151,6 @@ def test_chernoff_formulas():
     assert chernoff_upper(m, c) == pytest.approx(
         math.exp(-m * ((1 + c) * math.log(1 + c) - c)), rel=1e-14
     )
-    assert chernoff_tail_bounds(m, c) == (chernoff_lower(m, c), chernoff_upper(m, c))
 
 
 def test_chernoff_bounds_in_unit_interval():

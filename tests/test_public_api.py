@@ -1,0 +1,43 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import bergman_dpp
+from bergman_dpp import BergmanSpectrum
+
+MODULES = ("bounds", "errors", "regions", "sampler", "spectral", "streams", "verify")
+
+
+def _init_imports():
+    """(module, name) for every name bergman_dpp/__init__.py imports."""
+    tree = ast.parse(Path(bergman_dpp.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("short", MODULES)
+def test_all_names_resolve(short):
+    mod = importlib.import_module(f"bergman_dpp.{short}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{short}.__all__ names missing {name}"
+
+
+def test_package_imports_are_exported():
+    pairs = _init_imports()
+    assert pairs
+    for short, name in pairs:
+        mod = importlib.import_module(f"bergman_dpp.{short}")
+        assert name in mod.__all__, f"{short}.{name} is imported by the package but not exported"
+        assert getattr(bergman_dpp, name) is getattr(mod, name)
+
+
+def test_spectrum_methods_defined_on_class():
+    # the benchmark's span tracer looks both up in the class dict
+    for attr in ("eigenvalues", "feature_matrix"):
+        assert attr in BergmanSpectrum.__dict__

@@ -9,17 +9,18 @@ from bergman_dpp import (
     BergmanSpectrum,
     DomainError,
     EnvelopeError,
+    FamilySpec,
     OrthogonalizationError,
     PointConfiguration,
     RejectionBudgetError,
     SampleMeta,
     SamplerConfig,
     bernoulli_phase,
+    construct_family,
     default_truncation,
     intensity_profile_test,
     make_rng,
     min_radius_cdf,
-    moduli_experiment,
     parse_region_literal,
     sample,
     sample_moduli,
@@ -399,37 +400,49 @@ def test_min_law_against_sampler():
 
 
 # -----------------------------------------------------------------------------
-# moduli comparison experiment
+# multi-point positional law for a fixed active set
 # -----------------------------------------------------------------------------
-def test_moduli_experiment_smoke():
-    rep = moduli_experiment(0.9, SamplerConfig(n_eigen=9, seed=2), reps=200)
-    assert rep.reps == 200
-    assert 0 < rep.runs_with_points <= 200
-    assert rep.ks_min_literal is not None and 0.0 <= rep.ks_min_literal <= 1.0
-    assert rep.ks_min_capped is not None and 0.0 <= rep.ks_min_capped <= 1.0
-    d = rep.to_dict()
-    assert d["exploratory"] is True
-    assert d["order_quantiles"]["probs"] == [0.1, 0.25, 0.5, 0.75, 0.9]
-    ranks = d["order_quantiles"]["ranks"]
-    assert 0 in ranks
-    row = ranks[0]
-    assert len(row["dpp"]) == 5 and row["runs"] == rep.runs_with_points
-    # quantile rows are nondecreasing
-    for key in ("dpp", "literal", "capped"):
-        assert all(a <= b for a, b in zip(row[key], row[key][1:]))
+@pytest.mark.parametrize(
+    "literal, indices",
+    [
+        ("disc:0.8", (0, 1, 2)),
+        ("annulus:0.5:0.9", (0, 1, 2, 3)),
+        ("intervals:0.1-0.3,0.5-0.7,0.85-0.95", (0, 2, 3, 5)),
+        ("family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rule=midpoint", (0, 1, 2, 3)),
+    ],
+)
+def test_multi_point_law(literal, indices):
+    # Centre of mass S = sum x_i: since int x phi_n conj(phi_n') equals
+    # sqrt(nu_{n+1} / nu_n) for n' = n + 1 and 0 otherwise, E|S|^2 is the sum
+    # of nu_{n+1} / nu_n over n in I with n + 1 not in I (nu_n = pi lambda_n
+    # / (n + 1)); two-sided z-test at alpha = 1e-3.  On the same draws, the
+    # minimum modulus against Kostlan's law: the moduli are independent with
+    # the single-index radial laws (Hough, Krishnapur, Peres and Virag 2009,
+    # Thm 4.7.1), so P(min <= x) = 1 - prod_n (1 - F_n(x)).
+    parsed = parse_region_literal(literal)
+    if isinstance(parsed, FamilySpec):
+        parsed = construct_family(parsed).region
+    spectrum = BergmanSpectrum(parsed)
+    reps = 2000
+    active = ActiveIndexSet(indices=indices, n_eigen=max(indices) + 1)
+    lam = spectrum.eigenvalues(max(indices) + 2)
+    expected = sum(
+        lam[n + 1] * (n + 1) / (lam[n] * (n + 2)) for n in indices if n + 1 not in indices
+    )
+    centre_sq = np.empty(reps)
+    minima = np.empty(reps)
+    for r in range(reps):
+        conf = sample_positions(spectrum, active, make_rng(29, r, PHASE_SAMPLE))
+        centre_sq[r] = abs(sum(conf.points)) ** 2
+        minima[r] = conf.moduli()[0]
+    z = (centre_sq.mean() - expected) / (centre_sq.std(ddof=1) / math.sqrt(reps))
+    assert abs(z) < 3.29, z
+    cdfs = [_piecewise_radial_cdf(parsed.intervals, n) for n in indices]
 
+    def kostlan(x):
+        return 1.0 - np.prod([1.0 - f(x) for f in cdfs], axis=0)
 
-def test_moduli_experiment_deterministic():
-    a = moduli_experiment(0.9, SamplerConfig(n_eigen=9, seed=2), reps=60)
-    b = moduli_experiment(0.9, SamplerConfig(n_eigen=9, seed=2), reps=60)
-    assert a == b
-    c = moduli_experiment(0.9, SamplerConfig(n_eigen=9, seed=3), reps=60)
-    assert a != c
-
-
-def test_moduli_experiment_validation():
-    with pytest.raises(DomainError):
-        moduli_experiment(0.9, SamplerConfig(n_eigen=9), reps=0)
+    assert ks_statistic(minima, kostlan) < ks_critical_value(reps, 1e-3)
 
 
 # -----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,6 @@ from bergman_dpp import (
     GinibreSpectrum,
     bergman_kernel,
     disc,
-    ginibre_eigenvalue,
-    lower_regularized_gamma,
     make_region,
 )
 
@@ -56,41 +55,56 @@ def test_kernel_diagonal_real_positive(re, im):
 
 
 # -----------------------------------------------------------------------------
-# regularized incomplete gamma
+# regularized incomplete gamma: Ginibre eigenvalue n is P(n+1, R^2)
 # -----------------------------------------------------------------------------
+def _ginibre_p(s, x):
+    # P(s, x) through the Ginibre spectrum of radius sqrt(x)
+    return GinibreSpectrum(math.sqrt(x)).eigenvalue(s - 1)
+
+
 @pytest.mark.parametrize("s", [1, 2, 5, 10, 40, 150])
 @pytest.mark.parametrize("x", [0.0, 1e-8, 0.3, 1.0, 4.0, 25.0, 150.0, 900.0])
 def test_igamma_against_scipy(s, x):
-    assert lower_regularized_gamma(s, x) == pytest.approx(gammainc(s, x), abs=1e-13)
+    # scipy's gammainc, which the Ginibre spectrum uses, keeps the accuracy
+    # contract against 30-digit arithmetic over the series and continued
+    # fraction regimes
+    with mp.workdps(30):
+        ref = float(mp.gammainc(s, 0, x, regularized=True))
+    assert gammainc(s, x) == pytest.approx(ref, abs=1e-13)
 
 
 def test_igamma_against_quadrature():
     # P(s, x) = int_0^x t^{s-1} e^{-t} dt / (s-1)!
     for s, x in [(3, 2.0), (7, 5.5), (12, 20.0)]:
         oracle = quad(lambda t: t ** (s - 1) * math.exp(-t), 0.0, x)[0] / math.factorial(s - 1)
-        assert lower_regularized_gamma(s, x) == pytest.approx(oracle, abs=1e-12)
+        assert _ginibre_p(s, x) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_igamma_exponential_case():
-    # s = 1 is plain 1 - e^{-x}
-    for x in (0.1, 1.0, 7.0):
-        assert lower_regularized_gamma(1, x) == pytest.approx(-math.expm1(-x), abs=1e-15)
+    # s = 1 is plain 1 - e^{-R^2}
+    for radius in (0.3, 1.0, 2.6):
+        got = GinibreSpectrum(radius).eigenvalue(0)
+        assert got == pytest.approx(-math.expm1(-radius * radius), abs=1e-15)
 
 
 def test_igamma_domain():
-    with pytest.raises(DomainError):
-        lower_regularized_gamma(0, 1.0)
-    with pytest.raises(DomainError):
-        lower_regularized_gamma(2, -1.0)
-    with pytest.raises(DomainError):
-        lower_regularized_gamma(2, float("inf"))
+    # order s = n + 1 must be a positive integer, x = R^2 positive and finite
+    g = GinibreSpectrum(1.0)
+    for bad in (-1, 1.5):
+        with pytest.raises(DomainError):
+            g.eigenvalue(bad)
+        with pytest.raises(DomainError):
+            g.eigenvalues(bad)
+    for radius in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            GinibreSpectrum(radius)
 
 
-@given(st.integers(min_value=1, max_value=60), st.floats(min_value=0.0, max_value=200.0))
+@given(st.integers(min_value=1, max_value=60), st.floats(min_value=1e-12, max_value=200.0))
 def test_igamma_in_unit_interval_and_monotone(s, x):
-    p = lower_regularized_gamma(s, x)
+    p = _ginibre_p(s, x)
     assert 0.0 <= p <= 1.0
-    assert lower_regularized_gamma(s, x + 0.5) >= p - 1e-15
+    assert _ginibre_p(s, x + 0.5) >= p - 1e-15
 
 
 # -----------------------------------------------------------------------------
@@ -135,8 +149,6 @@ def test_thin_annulus_expm1_branch():
     e = 2.0 * np.arange(400) + 2.0
     oracle = np.exp(e * math.log(0.9)) - np.exp(e * math.log(0.89))
     # reference via 120-digit arithmetic
-    import mpmath as mp
-
     with mp.workdps(120):
         ref = [float(mp.mpf("0.9") ** int(k) - mp.mpf("0.89") ** int(k)) for k in e]
     np.testing.assert_allclose(lam, ref, rtol=5e-14)
@@ -268,12 +280,15 @@ def test_truncated_kernel_domain(disc08):
 # Ginibre spectrum
 # -----------------------------------------------------------------------------
 def test_ginibre_eigenvalue_formula():
-    # lambda_n = P(n+1, R^2)
-    for radius in (0.5, 1.0, 2.0):
-        for n in (0, 1, 5):
-            assert ginibre_eigenvalue(radius, n) == pytest.approx(
-                gammainc(n + 1, radius * radius), abs=1e-13
-            )
+    # lambda_n = P(n+1, R^2) = 1 - e^{-R^2} sum_{k <= n} R^{2k} / k!, to the
+    # 1e-12 contract against 30-digit arithmetic
+    for radius in (0.5, 1.0, 2.0, 5.0, 10.0):
+        lam = GinibreSpectrum(radius).eigenvalues(200)
+        with mp.workdps(30):
+            x = mp.mpf(radius) ** 2
+            terms = [x**k / mp.factorial(k) for k in range(200)]
+            ref = [float(1 - mp.exp(-x) * mp.fsum(terms[: n + 1])) for n in range(200)]
+        np.testing.assert_allclose(lam, ref, rtol=0.0, atol=1e-12)
 
 
 def test_ginibre_trace_is_r_squared():

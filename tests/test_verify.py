@@ -260,6 +260,12 @@ def test_ks_statistic_scalar_cdf_fallback():
 
     assert ks_statistic(xs, scalar_only) == pytest.approx(vec, abs=1e-15)
 
+    def branching(x):
+        # truth-testing an array raises ValueError, not TypeError
+        return 0.0 if x < 0.0 else float(x) ** 2
+
+    assert ks_statistic(xs, branching) == pytest.approx(vec, abs=1e-15)
+
 
 def test_ks_statistic_validation():
     with pytest.raises(DomainError):
