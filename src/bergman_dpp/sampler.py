@@ -197,16 +197,23 @@ def default_truncation(spectrum, beta: float) -> int:
     return max(1, math.ceil(beta * spectrum.trace()))
 
 
-def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
-    """Select each index n < n_eigen independently with probability lambda_n."""
+def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
+    """The first n_eigen eigenvalues, checked to be finite and in [0, 1]."""
     if int(n_eigen) != n_eigen or n_eigen < 1:
         raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
     n_eigen = int(n_eigen)
     lam = np.asarray(spectrum.eigenvalues(n_eigen), dtype=float)
-    if lam.shape != (n_eigen,) or np.any(lam < 0.0) or np.any(lam > 1.0):
+    # the comparisons are False for NaN, so a NaN eigenvalue is rejected too
+    if lam.shape != (n_eigen,) or not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise DomainError("spectrum must provide eigenvalues in [0, 1]")
-    hits = np.nonzero(rng.random(n_eigen) < lam)[0]
-    return ActiveIndexSet(indices=tuple(int(i) for i in hits), n_eigen=n_eigen)
+    return lam
+
+
+def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
+    """Select each index n < n_eigen independently with probability lambda_n."""
+    lam = _eigenvalues(spectrum, n_eigen)
+    hits = np.nonzero(rng.random(lam.size) < lam)[0]
+    return ActiveIndexSet(indices=tuple(int(i) for i in hits), n_eigen=lam.size)
 
 
 def sample_positions(

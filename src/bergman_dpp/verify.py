@@ -2,7 +2,9 @@
 
 The count of the restricted process is a sum of independent Bernoulli
 variables, one per eigenvalue, so its law is an exact Poisson-binomial
-computed here by direct convolution.  That oracle anchors everything
+computed here by direct convolution, each step over only the band of
+entries that are not exactly zero: the full window would add exact zeros,
+which change no bits.  That oracle anchors everything
 else: chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits,
 and the dominance chain of the truncation bounds.  All gates run at a
 fixed significance and a fixed seed; a verdict is a pure comparison of
@@ -19,7 +21,7 @@ from scipy import stats as _stats
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
 from .errors import DomainError
-from .sampler import PointConfiguration, SamplerConfig, bernoulli_phase
+from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
 from .spectral import BergmanSpectrum
 from .streams import PHASE_BERNOULLI, make_rng
 
@@ -91,9 +93,13 @@ class CountDistribution:
 def count_pmf(eigenvalues) -> CountDistribution:
     """Convolve Bernoulli(lambda_n) laws into the exact count distribution.
 
-    One absorption per eigenvalue over a growing support window; the
-    running mass is renormalized every few thousand steps and the drift is
-    required to stay at rounding scale, anything larger is a hard error.
+    One absorption per eigenvalue over the band [lo, hi] outside which every
+    entry is exactly 0.0 (60..1924 of 27625 on disc:0.9995 at N=27624).
+    There the full-window recursion computes 0.0 * q + 0.0 * l, and at the
+    band's ends x * q + 0.0 == x * q, so the pmf is the same to the bit.
+    The running mass is renormalized over the full window every few
+    thousand steps and the drift is required to stay at rounding scale,
+    anything larger is a hard error.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1:
@@ -103,13 +109,19 @@ def count_pmf(eigenvalues) -> CountDistribution:
     n = lam.size
     pmf = np.zeros(n + 1)
     pmf[0] = 1.0
-    top = 0
+    scratch = np.empty(n + 1)
+    top = lo = hi = 0
     for t in range(n):
         l = lam[t]
         if l != 0.0:
-            pmf[1 : top + 2] = pmf[1 : top + 2] * (1.0 - l) + pmf[: top + 1] * l
-            pmf[0] *= 1.0 - l
+            carry = np.multiply(pmf[lo : hi + 1], l, out=scratch[: hi - lo + 1])
+            pmf[lo : hi + 1] *= 1.0 - l
+            pmf[lo + 1 : hi + 2] += carry
             top += 1
+            if pmf[hi + 1] != 0.0:
+                hi += 1
+            while pmf[lo] == 0.0:
+                lo += 1
         if (t + 1) % _RENORM_EVERY == 0:
             s = pmf[: top + 1].sum()
             if abs(s - 1.0) > _SUM_GUARD:
@@ -140,17 +152,18 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     """Monte Carlo count statistics from independent Bernoulli-phase replicas.
 
     Replica r uses its own counter-keyed stream, so the estimate is
-    deterministic given the config seed and any replica can be replayed.
+    deterministic given the config seed and any replica can be replayed:
+    its count is the size of bernoulli_phase's draw on the same stream.
     """
     if int(reps) != reps or reps < 1:
         raise DomainError(f"reps must be a positive integer, got {reps}")
     reps = int(reps)
-    n_eigen = config.resolve_truncation(spectrum)
+    lam = _eigenvalues(spectrum, config.resolve_truncation(spectrum))
     counts = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         rng = make_rng(config.seed, r, PHASE_BERNOULLI)
-        counts[r] = len(bernoulli_phase(spectrum, n_eigen, rng))
-    hist = np.bincount(counts, minlength=n_eigen + 1)
+        counts[r] = np.count_nonzero(rng.random(lam.size) < lam)
+    hist = np.bincount(counts, minlength=lam.size + 1)
     mean = float(counts.mean())
     var = float(counts.var(ddof=1)) if reps > 1 else 0.0
     return CountStats(

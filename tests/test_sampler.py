@@ -20,6 +20,7 @@ from bergman_dpp import (
     default_truncation,
     intensity_profile_test,
     make_rng,
+    mc_count_stats,
     min_radius_cdf,
     parse_region_literal,
     sample,
@@ -134,6 +135,21 @@ def test_bernoulli_phase_validation(disc09):
 
     with pytest.raises(DomainError):
         bernoulli_phase(BadSpectrum(), 4, rng)
+
+
+def test_nan_eigenvalue_rejected():
+    # a NaN compares False with every uniform, so unchecked it would leave its
+    # index silently unselected
+    class NanSpectrum:
+        def eigenvalues(self, n):
+            lam = np.full(n, 0.5)
+            lam[1] = np.nan
+            return lam
+
+    with pytest.raises(DomainError):
+        bernoulli_phase(NanSpectrum(), 4, make_rng(0))
+    with pytest.raises(DomainError):
+        mc_count_stats(NanSpectrum(), SamplerConfig(n_eigen=4), reps=10)
 
 
 def test_bernoulli_phase_deterministic(disc09):
@@ -418,7 +434,8 @@ def test_multi_point_law(literal, indices):
     # / (n + 1)); two-sided z-test at alpha = 1e-3.  On the same draws, the
     # minimum modulus against Kostlan's law: the moduli are independent with
     # the single-index radial laws (Hough, Krishnapur, Peres and Virag 2009,
-    # Thm 4.7.1), so P(min <= x) = 1 - prod_n (1 - F_n(x)).
+    # Thm 4.7.1), so P(min <= x) = 1 - prod_n (1 - F_n(x)) and the maximum
+    # modulus has P(max <= x) = prod_n F_n(x).
     parsed = parse_region_literal(literal)
     if isinstance(parsed, FamilySpec):
         parsed = construct_family(parsed).region
@@ -431,18 +448,25 @@ def test_multi_point_law(literal, indices):
     )
     centre_sq = np.empty(reps)
     minima = np.empty(reps)
+    maxima = np.empty(reps)
     for r in range(reps):
         conf = sample_positions(spectrum, active, make_rng(29, r, PHASE_SAMPLE))
         centre_sq[r] = abs(sum(conf.points)) ** 2
-        minima[r] = conf.moduli()[0]
+        moduli = conf.moduli()
+        minima[r], maxima[r] = moduli[0], moduli[-1]
     z = (centre_sq.mean() - expected) / (centre_sq.std(ddof=1) / math.sqrt(reps))
     assert abs(z) < 3.29, z
     cdfs = [_piecewise_radial_cdf(parsed.intervals, n) for n in indices]
 
-    def kostlan(x):
+    def kostlan_min(x):
         return 1.0 - np.prod([1.0 - f(x) for f in cdfs], axis=0)
 
-    assert ks_statistic(minima, kostlan) < ks_critical_value(reps, 1e-3)
+    def kostlan_max(x):
+        return np.prod([f(x) for f in cdfs], axis=0)
+
+    threshold = ks_critical_value(reps, 1e-3)
+    assert ks_statistic(minima, kostlan_min) < threshold
+    assert ks_statistic(maxima, kostlan_max) < threshold
 
 
 # -----------------------------------------------------------------------------

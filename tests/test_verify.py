@@ -11,6 +11,7 @@ from bergman_dpp import (
     CountDistribution,
     DomainError,
     SamplerConfig,
+    bernoulli_phase,
     bound_audit,
     chernoff_consistency,
     chernoff_lower,
@@ -22,10 +23,13 @@ from bergman_dpp import (
     intensity_profile_test,
     ks_critical_value,
     ks_statistic,
+    make_rng,
     mc_count_stats,
     sample,
     wasserstein_bound,
 )
+from bergman_dpp.streams import PHASE_BERNOULLI
+from bergman_dpp.verify import _RENORM_EVERY
 
 
 def brute_force_pmf(lam):
@@ -38,6 +42,24 @@ def brute_force_pmf(lam):
             p *= l if b else (1.0 - l)
         pmf[sum(bits)] += p
     return pmf
+
+
+def full_window_pmf(lam):
+    """count_pmf's recursion over the whole window [0, top] at every step,
+    renormalized on the same schedule: the banded recursion must match it
+    to the bit."""
+    lam = np.asarray(lam, dtype=float)
+    pmf = np.zeros(lam.size + 1)
+    pmf[0] = 1.0
+    top = 0
+    for t, l in enumerate(lam):
+        if l != 0.0:
+            pmf[1 : top + 2] = pmf[1 : top + 2] * (1.0 - l) + pmf[: top + 1] * l
+            pmf[0] *= 1.0 - l
+            top += 1
+        if (t + 1) % _RENORM_EVERY == 0:
+            pmf[: top + 1] /= pmf[: top + 1].sum()
+    return pmf / pmf.sum()
 
 
 # -----------------------------------------------------------------------------
@@ -114,6 +136,23 @@ def test_count_pmf_validation():
         count_pmf([float("nan")])
 
 
+def test_count_pmf_bit_identical_to_full_window():
+    # disc:0.9995 at N=5000: both tails underflow, so the band is 60..1911
+    lam = BergmanSpectrum.disc(0.9995).eigenvalues(5000)
+    got = count_pmf(lam).pmf
+    nonzero = np.flatnonzero(got)
+    assert (nonzero[0], nonzero[-1]) == (60, 1911)
+    assert np.array_equal(got, full_window_pmf(lam))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        lam = rng.random(int(rng.integers(1, 300))) ** rng.choice([1.0, 0.02, 50.0])
+        lam[rng.random(lam.size) < 0.1] = 0.0
+        lam[rng.random(lam.size) < 0.1] = 1.0
+        assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
+    for lam in ([1.0, 1.0, 0.5], []):
+        assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
+
+
 def test_count_pmf_large_spectrum_stability():
     # ten thousand eigenvalues exercise the renormalization guard
     rng = np.random.default_rng(5)
@@ -142,6 +181,25 @@ def test_mc_count_stats_deterministic(disc09):
     assert a.mean == b.mean and np.array_equal(a.histogram, b.histogram)
     with pytest.raises(DomainError):
         mc_count_stats(disc09, cfg, reps=0)
+
+
+@pytest.mark.parametrize("radius, n_eigen, reps", [(0.9, 22, 2000), (0.5, 600, 300)])
+def test_mc_count_stats_replays_bernoulli_phase(radius, n_eigen, reps):
+    # one replica's count is the size of bernoulli_phase on that replica's
+    # stream; on disc:0.5 the eigenvalues clamp to 0 from index 498
+    spectrum = BergmanSpectrum.disc(radius)
+    assert np.count_nonzero(spectrum.eigenvalues(n_eigen)) == min(n_eigen, 498)
+    cfg = SamplerConfig(n_eigen=n_eigen, seed=17)
+    stats = mc_count_stats(spectrum, cfg, reps)
+    counts = np.array(
+        [
+            len(bernoulli_phase(spectrum, n_eigen, make_rng(cfg.seed, r, PHASE_BERNOULLI)))
+            for r in range(reps)
+        ]
+    )
+    assert np.array_equal(stats.histogram, np.bincount(counts, minlength=n_eigen + 1))
+    assert stats.mean == float(counts.mean())
+    assert stats.variance == float(counts.var(ddof=1))
 
 
 # -----------------------------------------------------------------------------
