@@ -9,7 +9,6 @@ from .bounds import (
     coincidence_probability,
     coupling_tail,
     default_bound_truncation,
-    ginibre_expected_count,
     sufficiency_margin,
     truncation_constants,
     wasserstein_bound,

@@ -11,11 +11,11 @@ of the audited invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_int, _as_real
 
 __all__ = [
     "truncation_constants",
@@ -26,22 +26,14 @@ __all__ = [
     "chernoff_lower",
     "chernoff_upper",
     "sufficiency_margin",
-    "ginibre_expected_count",
     "BoundReport",
     "build_bound_report",
 ]
 
 
-def _check_radius(radius: float) -> float:
-    radius = float(radius)
-    if not (0.0 < radius < 1.0):
-        raise DomainError(f"disc radius must lie in (0, 1), got {radius}")
-    return radius
-
-
 def truncation_constants(radius: float) -> tuple[float, float]:
     """(N_R, g): expected point count R**2/(1-R**2) and decay rate R**2/(1+R)."""
-    radius = _check_radius(radius)
+    radius = _as_real(radius, "disc radius", 0, 1)
     n_r = radius * radius / ((1.0 - radius) * (1.0 + radius))
     g = radius * radius / (1.0 + radius)
     return n_r, g
@@ -49,28 +41,23 @@ def truncation_constants(radius: float) -> tuple[float, float]:
 
 def default_bound_truncation(radius: float, beta: float) -> int:
     """ceil(beta * N_R), the truncation index the exponential bound assumes."""
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+    beta = _as_real(beta, "beta")
     n_r, _ = truncation_constants(radius)
     return max(1, math.ceil(beta * n_r))
 
 
 def wasserstein_bound(radius: float, beta: float) -> float:
     """Exponential bound N_R exp(-2 beta g) on the truncation's Wasserstein cost."""
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+    beta = _as_real(beta, "beta")
     n_r, g = truncation_constants(radius)
     return n_r * math.exp(-2.0 * beta * g)
 
 
 def coupling_tail(radius: float, n_eigen: int) -> float:
     """Exact eigenvalue tail sum_{k > N} R**(2k+2) = R**(2N+4) / (1 - R**2)."""
-    radius = _check_radius(radius)
-    if int(n_eigen) != n_eigen or n_eigen < 0:
-        raise DomainError(f"truncation index must be a non-negative integer, got {n_eigen}")
-    return radius ** (2 * int(n_eigen) + 4) / ((1.0 - radius) * (1.0 + radius))
+    radius = _as_real(radius, "disc radius", 0, 1)
+    n_eigen = _as_int(n_eigen, "truncation index")
+    return radius ** (2 * n_eigen + 4) / ((1.0 - radius) * (1.0 + radius))
 
 
 def coincidence_probability(radius: float, n_eigen: int, tol: float = 1e-12) -> float:
@@ -80,13 +67,9 @@ def coincidence_probability(radius: float, n_eigen: int, tol: float = 1e-12) -> 
     less than tol (their eigenvalue sum bounds the effect), and accumulated
     through log1p to keep precision.
     """
-    radius = _check_radius(radius)
-    if int(n_eigen) != n_eigen or n_eigen < 0:
-        raise DomainError(f"truncation index must be a non-negative integer, got {n_eigen}")
-    tol = float(tol)
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    n_eigen = int(n_eigen)
+    radius = _as_real(radius, "disc radius", 0, 1)
+    n_eigen = _as_int(n_eigen, "truncation index")
+    tol = _as_real(tol, "tol", 0, 1)
     cap = tol * (1.0 - radius) * (1.0 + radius)
     # smallest K with R**(2K+4) < cap
     k_stop = max(n_eigen, math.ceil((math.log(cap) / math.log(radius) - 4.0) / 2.0))
@@ -97,42 +80,23 @@ def coincidence_probability(radius: float, n_eigen: int, tol: float = 1e-12) -> 
 
 def chernoff_lower(mean: float, c: float) -> float:
     """Bound exp(-m (c + (1-c) log(1-c))) on P(count <= (1-c) m), c in (0, 1)."""
-    mean = float(mean)
-    c = float(c)
-    if not (mean > 0.0 and math.isfinite(mean)):
-        raise DomainError(f"mean must be positive and finite, got {mean}")
-    if not (0.0 < c < 1.0):
-        raise DomainError(f"lower-tail fraction c must lie in (0, 1), got {c}")
+    mean = _as_real(mean, "mean")
+    c = _as_real(c, "lower-tail fraction c", 0, 1)
     return math.exp(-mean * (c + (1.0 - c) * math.log1p(-c)))
 
 
 def chernoff_upper(mean: float, c: float) -> float:
     """Bound exp(-m ((1+c) log(1+c) - c)) on P(count >= (1+c) m), c > 0."""
-    mean = float(mean)
-    c = float(c)
-    if not (mean > 0.0 and math.isfinite(mean)):
-        raise DomainError(f"mean must be positive and finite, got {mean}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise DomainError(f"upper-tail fraction c must be positive, got {c}")
+    mean = _as_real(mean, "mean")
+    c = _as_real(c, "upper-tail fraction c")
     return math.exp(-mean * ((1.0 + c) * math.log1p(c) - c))
 
 
 def sufficiency_margin(eps: float, n_eigen: int) -> float:
     """Margin 2N log(1-eps) - log(eps); negative once N functions suffice at level eps."""
-    eps = float(eps)
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if int(n_eigen) != n_eigen or n_eigen < 1:
-        raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
-    return 2.0 * int(n_eigen) * math.log1p(-eps) - math.log(eps)
-
-
-def ginibre_expected_count(radius: float) -> float:
-    """Expected point count of the Ginibre process in a disc of radius R: exactly R**2."""
-    radius = float(radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise DomainError(f"Ginibre radius must be positive and finite, got {radius}")
-    return radius * radius
+    eps = _as_real(eps, "eps", 0, 1)
+    n_eigen = _as_int(n_eigen, "n_eigen", 1)
+    return 2.0 * n_eigen * math.log1p(-eps) - math.log(eps)
 
 
 @dataclass(frozen=True)
@@ -149,38 +113,26 @@ class BoundReport:
     coincidence_probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "beta": self.beta,
-            "n_eigen": self.n_eigen,
-            "expected_count": self.expected_count,
-            "decay_rate": self.decay_rate,
-            "wasserstein_bound": self.wasserstein_bound,
-            "coupling_tail": self.coupling_tail,
-            "coincidence_probability": self.coincidence_probability,
-        }
+        return asdict(self)
 
 
 def build_bound_report(
     radius: float,
     beta: float | None = None,
     n_eigen: int | None = None,
-    tol: float = 1e-12,
 ) -> BoundReport:
     """Evaluate every bound at one grid cell.
 
     Exactly one of beta / n_eigen fixes the truncation; with beta the index
     is ceil(beta * N_R), which keeps the exponential bound applicable.
     """
-    radius = _check_radius(radius)
+    radius = _as_real(radius, "disc radius", 0, 1)
     if (beta is None) == (n_eigen is None):
         raise DomainError("provide exactly one of beta or n_eigen")
     if n_eigen is None:
         n_eigen = default_bound_truncation(radius, beta)
     else:
-        if int(n_eigen) != n_eigen or n_eigen < 1:
-            raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
-        n_eigen = int(n_eigen)
+        n_eigen = _as_int(n_eigen, "n_eigen", 1)
     n_r, g = truncation_constants(radius)
     return BoundReport(
         radius=radius,
@@ -190,5 +142,5 @@ def build_bound_report(
         decay_rate=g,
         wasserstein_bound=wasserstein_bound(radius, beta) if beta is not None else float("nan"),
         coupling_tail=coupling_tail(radius, n_eigen),
-        coincidence_probability=coincidence_probability(radius, n_eigen, tol),
+        coincidence_probability=coincidence_probability(radius, n_eigen),
     )

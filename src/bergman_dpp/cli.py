@@ -129,7 +129,7 @@ def _cmd_spectrum(args) -> int:
         spec = GinibreSpectrum(args.ginibre)
         label = f"ginibre:{args.ginibre}"
     lam = spec.eigenvalues(args.n_eigen)
-    trace = spec.trace() if args.region is not None else spec.trace(args.tol)
+    trace = spec.trace()
     if args.format == "csv":
         lines = ["n,eigenvalue"]
         lines += [f"{n},{_g17(v)}" for n, v in enumerate(lam)]
@@ -251,7 +251,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n-eigen", type=int, default=None, help="explicit truncation order")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replica", type=int, default=0)
-    sp.add_argument("--max-rejections", type=int, default=10_000_000)
+    sp.add_argument("--max-rejections", type=int, default=SamplerConfig.max_rejections)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_sample)
@@ -260,7 +260,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--region", default=None)
     sp.add_argument("--ginibre", type=float, default=None, help="Ginibre disc radius")
     sp.add_argument("--n-eigen", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10, help="Ginibre trace tolerance")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_spectrum)

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import mpmath as mp
 
-from .errors import DomainError, RegionError
+from .errors import DomainError, RegionError, _as_int, _as_real
 
 __all__ = [
     "RadialRegion",
@@ -158,16 +158,14 @@ def make_region(intervals) -> RadialRegion:
 
 def disc(radius: float) -> RadialRegion:
     """Centered disc of radius R, 0 < R < 1."""
-    radius = float(radius)
-    if not (0.0 < radius < 1.0):
-        raise RegionError(f"disc radius must lie in (0, 1), got {radius}")
+    radius = _as_real(radius, "disc radius", 0, 1, RegionError)
     return RadialRegion(((0.0, radius),))
 
 
 def annulus(inner: float, outer: float) -> RadialRegion:
     """Centered annulus r <= |z| <= R; inner = 0 reduces to the disc."""
-    inner = float(inner)
-    outer = float(outer)
+    inner = _as_real(inner, "annulus inner radius", -math.inf, error=RegionError)
+    outer = _as_real(outer, "annulus outer radius", -math.inf, error=RegionError)
     if inner < 0.0:
         raise RegionError(f"annulus inner radius must be >= 0, got {inner}")
     if not inner < outer:
@@ -203,10 +201,8 @@ class GeometricWeights:
     ratio: float
 
     def __post_init__(self):
-        if not (self.u0 > 0.0 and math.isfinite(self.u0)):
-            raise RegionError(f"geometric weight u0 must be positive, got {self.u0}")
-        if not (0.0 < self.ratio < 1.0):
-            raise RegionError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
+        _as_real(self.u0, "geometric weight u0", error=RegionError)
+        _as_real(self.ratio, "geometric ratio", 0, 1, RegionError)
 
     def term(self, k: int) -> float:
         return self.u0 * self.ratio**k
@@ -225,10 +221,8 @@ class ExplicitWeights:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            if not (v > 0.0 and math.isfinite(v)):
-                raise RegionError(f"weights must be positive reals, got {v}")
+        values = tuple(_as_real(v, "weight", error=RegionError) for v in self.values)
+        object.__setattr__(self, "values", values)
 
     def term(self, k: int) -> float:
         if k >= len(self.values):
@@ -267,20 +261,14 @@ class FamilySpec:
     theta: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.a0 < self.b0 < 1.0):
-            raise RegionError(
-                f"family seed needs 0 < a0 < b0 < 1, got a0={self.a0}, b0={self.b0}"
-            )
-        if int(self.count) != self.count or self.count < 1:
-            raise RegionError(f"family count must be a positive integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        a0 = _as_real(self.a0, "family seed a0", 0, 1, RegionError)
+        _as_real(self.b0, "family seed b0", a0, 1, RegionError)
+        count = _as_int(self.count, "family count", 1, error=RegionError)
+        object.__setattr__(self, "count", count)
         if self.rule not in _RULES:
             raise RegionError(f"unknown placement rule {self.rule!r}, expected one of {_RULES}")
         if self.rule == "offset":
-            if self.theta is None or not (0.0 < self.theta < 1.0):
-                raise RegionError(
-                    f"offset rule needs theta in (0, 1), got {self.theta}"
-                )
+            _as_real(self.theta, "offset rule theta", 0, 1, RegionError)
         elif self.theta is not None:
             raise RegionError("theta is only meaningful for the offset rule")
         if isinstance(self.weights, ExplicitWeights) and len(self.weights.values) < self.count - 1:
@@ -446,20 +434,11 @@ class PropertyReport:
     rule_forces_boundary_contact: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "horizon": self.horizon,
-            "witness_found": self.witness_found,
-            "witness_index": self.witness_index,
-            "predicted_witness_index": self.predicted_witness_index,
-            "measure": self.measure,
-            "measure_margin": self.measure_margin,
-            "rule_forces_boundary_contact": self.rule_forces_boundary_contact,
-        }
+        return asdict(self)
 
 
 def check_properties(
-    obj: Union[RadialRegion, FamilySpec, FamilyBuild], delta: float, horizon: int | None = None
+    obj: Union[RadialRegion, FamilySpec, FamilyBuild], delta: float
 ) -> PropertyReport:
     """Report boundary contact within (1 - delta, 1) and the area margin.
 
@@ -469,18 +448,13 @@ def check_properties(
     the placement rule yields a predicted witness step
     ceil(log(gap0 / delta) / log(1 / contraction)).
     """
-    delta = float(delta)
-    if not (0.0 < delta <= 1.0):
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    delta = _as_real(delta, "delta", 0, 1, closed=True)
 
     if isinstance(obj, FamilyBuild):
         obj = obj.spec
 
     if isinstance(obj, FamilySpec):
-        spec = obj if horizon is None else FamilySpec(
-            obj.a0, obj.b0, obj.weights, horizon, obj.rule, obj.theta
-        )
-        build = construct_family(spec)
+        build = construct_family(obj)
         thr = mp.mpf(1) - mp.mpf(delta)
         witness_index = None
         for j, (a, b) in enumerate(build.endpoints):
@@ -491,15 +465,15 @@ def check_properties(
         measure = float(
             mp.pi * mp.fsum((b - a) * (b + a) for a, b in build.endpoints)
         )
-        contraction = spec.contraction()
-        gap0 = 1.0 - spec.b0
+        contraction = obj.contraction()
+        gap0 = 1.0 - obj.b0
         if delta >= gap0:
             predicted = 0
         else:
             predicted = math.ceil(math.log(gap0 / delta) / math.log(1.0 / contraction))
         return PropertyReport(
             delta=delta,
-            horizon=spec.count,
+            horizon=obj.count,
             witness_found=witness_index is not None,
             witness_index=witness_index,
             predicted_witness_index=predicted,
@@ -536,8 +510,7 @@ class BoundaryRegion:
     eps: float
 
     def __post_init__(self):
-        if not (0.0 < self.eps <= 1.0):
-            raise DomainError(f"boundary band width must lie in (0, 1], got {self.eps}")
+        _as_real(self.eps, "boundary band width", 0, 1, closed=True)
 
 
 @dataclass(frozen=True)
@@ -547,7 +520,7 @@ class TraceCheck:
     diagnostic: str
 
     def to_dict(self) -> dict:
-        return {"finite": self.finite, "trace": self.trace, "diagnostic": self.diagnostic}
+        return asdict(self)
 
 
 def finite_trace_check(obj: Union[RadialRegion, FamilySpec, BoundaryRegion]) -> TraceCheck:

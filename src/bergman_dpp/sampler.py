@@ -30,9 +30,11 @@ from .errors import (
     EnvelopeError,
     OrthogonalizationError,
     RejectionBudgetError,
+    _as_int,
+    _as_real,
 )
 from .spectral import BergmanSpectrum
-from .streams import PHASE_SAMPLE, make_rng
+from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, make_rng
 
 __all__ = [
     "GS_NORM_FLOOR",
@@ -67,20 +69,13 @@ class SamplerConfig:
     def __post_init__(self):
         if (self.beta is None) == (self.n_eigen is None):
             raise DomainError("provide exactly one of beta or n_eigen")
-        if self.beta is not None and not (float(self.beta) > 0.0 and math.isfinite(self.beta)):
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        if self.beta is not None:
+            _as_real(self.beta, "beta")
         if self.n_eigen is not None:
-            if int(self.n_eigen) != self.n_eigen or self.n_eigen < 1:
-                raise DomainError(f"n_eigen must be a positive integer, got {self.n_eigen}")
-            object.__setattr__(self, "n_eigen", int(self.n_eigen))
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if int(self.max_rejections) != self.max_rejections or self.max_rejections < 1:
-            raise DomainError(
-                f"max_rejections must be a positive integer, got {self.max_rejections}"
-            )
-        object.__setattr__(self, "max_rejections", int(self.max_rejections))
+            object.__setattr__(self, "n_eigen", _as_int(self.n_eigen, "n_eigen", 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, _SEED_END))
+        budget = _as_int(self.max_rejections, "max_rejections", 1)
+        object.__setattr__(self, "max_rejections", budget)
 
     def resolve_truncation(self, spectrum) -> int:
         if self.n_eigen is not None:
@@ -96,19 +91,12 @@ class ActiveIndexSet:
     n_eigen: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "n_eigen", int(self.n_eigen))
-        if self.n_eigen < 0:
-            raise DomainError(f"n_eigen must be non-negative, got {self.n_eigen}")
-        prev = -1
-        for i in self.indices:
-            if not prev < i:
-                raise DomainError("active indices must be strictly increasing")
-            if not 0 <= i < self.n_eigen:
-                raise DomainError(
-                    f"active index {i} outside truncation range [0, {self.n_eigen})"
-                )
-            prev = i
+        n_eigen = _as_int(self.n_eigen, "n_eigen")
+        indices = tuple(_as_int(i, "active index", 0, n_eigen) for i in self.indices)
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise DomainError("active indices must be strictly increasing")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "n_eigen", n_eigen)
 
     def __len__(self):
         return len(self.indices)
@@ -191,17 +179,12 @@ def default_truncation(spectrum, beta: float) -> int:
     """ceil(beta * trace), at least 1; needs a closed-form-trace spectrum."""
     if not isinstance(spectrum, BergmanSpectrum):
         raise DomainError("default truncation needs a Bergman-restriction spectrum")
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    return max(1, math.ceil(beta * spectrum.trace()))
+    return max(1, math.ceil(_as_real(beta, "beta") * spectrum.trace()))
 
 
 def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
     """The first n_eigen eigenvalues, checked to be finite and in [0, 1]."""
-    if int(n_eigen) != n_eigen or n_eigen < 1:
-        raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
-    n_eigen = int(n_eigen)
+    n_eigen = _as_int(n_eigen, "n_eigen", 1)
     lam = np.asarray(spectrum.eigenvalues(n_eigen), dtype=float)
     # the comparisons are False for NaN, so a NaN eigenvalue is rejected too
     if lam.shape != (n_eigen,) or not np.all((lam >= 0.0) & (lam <= 1.0)):
@@ -213,20 +196,21 @@ def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveI
     """Select each index n < n_eigen independently with probability lambda_n."""
     lam = _eigenvalues(spectrum, n_eigen)
     hits = np.nonzero(rng.random(lam.size) < lam)[0]
-    return ActiveIndexSet(indices=tuple(int(i) for i in hits), n_eigen=lam.size)
+    return ActiveIndexSet(indices=tuple(hits.tolist()), n_eigen=lam.size)
 
 
 def sample_positions(
     spectrum: BergmanSpectrum,
     active: ActiveIndexSet,
     rng: np.random.Generator,
-    max_rejections: int = 10_000_000,
+    max_rejections: int = SamplerConfig.max_rejections,
 ) -> PointConfiguration:
     """Draw one position per active index through the residual densities."""
     if not isinstance(spectrum, BergmanSpectrum):
         raise DomainError("positional sampling needs a monomial eigenfunction family")
     if not isinstance(active, ActiveIndexSet):
         raise DomainError(f"expected an ActiveIndexSet, got {type(active).__name__}")
+    max_rejections = _as_int(max_rejections, "max_rejections", 1)
     region = spectrum.region
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
@@ -310,6 +294,7 @@ def sample_positions(
 
 def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -> PointConfiguration:
     """Bernoulli phase then positional phase under one seeded stream."""
+    replica = _as_int(replica, "replica", 0, _REPLICA_END)
     n_eigen = config.resolve_truncation(spectrum)
     rng = make_rng(config.seed, replica, PHASE_SAMPLE)
     active = bernoulli_phase(spectrum, n_eigen, rng)
@@ -326,17 +311,14 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
 
 def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the moduli set {U_k**(1/(2k)), k = 1..n}, U_k iid uniform."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"count must be a positive integer, got {n}")
-    n = int(n)
+    n = _as_int(n, "count", 1)
     k = np.arange(1, n + 1, dtype=float)
     return rng.random(n) ** (1.0 / (2.0 * k))
 
 
 def min_radius_cdf(n: int, x: float) -> float:
     """P(min of the first n moduli <= x) = 1 - prod_{k=1}^n (1 - x**(2k))."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"count must be a positive integer, got {n}")
+    n = _as_int(n, "count", 1)
     x = float(x)
     if math.isnan(x):
         raise DomainError("x must be a real number")
@@ -346,6 +328,6 @@ def min_radius_cdf(n: int, x: float) -> float:
         return 1.0
     if n == 1:
         return x * x
-    k = np.arange(1, int(n) + 1, dtype=float)
+    k = np.arange(1, n + 1, dtype=float)
     return -math.expm1(float(np.log1p(-(x ** (2.0 * k))).sum()))
 

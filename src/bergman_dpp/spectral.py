@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError
+from .errors import DomainError, _as_int, _as_real
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
@@ -53,12 +53,6 @@ def bergman_kernel(x, y) -> complex:
         raise DomainError("bergman_kernel needs |x| < 1 and |y| < 1")
     d = 1.0 - x * y.conjugate()
     return 1.0 / (math.pi * d * d)
-
-
-def _check_index(n) -> int:
-    if int(n) != n or n < 0:
-        raise DomainError(f"eigenvalue index must be a non-negative integer, got {n}")
-    return int(n)
 
 
 class BergmanSpectrum:
@@ -93,9 +87,7 @@ class BergmanSpectrum:
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
         """Eigenvalues for indices 0 .. n_eigen-1 as a float array."""
-        if int(n_eigen) != n_eigen or n_eigen < 0:
-            raise DomainError(f"n_eigen must be a non-negative integer, got {n_eigen}")
-        n_eigen = int(n_eigen)
+        n_eigen = _as_int(n_eigen, "n_eigen")
         e = (2.0 * np.arange(n_eigen) + 2.0)[:, None]
         bp = self._b[None, :] ** e
         ap = self._a[None, :] ** e
@@ -111,7 +103,7 @@ class BergmanSpectrum:
         return lam
 
     def eigenvalue(self, n: int) -> float:
-        return float(self.eigenvalues(_check_index(n) + 1)[-1])
+        return float(self.eigenvalues(_as_int(n, "eigenvalue index") + 1)[-1])
 
     def underflow_index(self, n_eigen: int) -> int | None:
         """Smallest index below n_eigen whose eigenvalue clamps to zero."""
@@ -159,7 +151,7 @@ class BergmanSpectrum:
 
     def eigenfunction(self, n: int, x) -> complex:
         """phi_n(x) = x**n / sqrt(nu_n) for x in the closed region."""
-        n = _check_index(n)
+        n = _as_int(n, "eigenvalue index")
         x = _as_point(x)
         if not self.region.contains_point(x):
             raise DomainError(
@@ -171,9 +163,7 @@ class BergmanSpectrum:
 
     def truncated_kernel(self, n_eigen: int, x, y) -> complex:
         """Partial spectral sum  sum_{n < n_eigen} lambda_n phi_n(x) conj(phi_n(y))."""
-        if int(n_eigen) != n_eigen or n_eigen < 1:
-            raise DomainError(f"n_eigen must be a positive integer, got {n_eigen}")
-        n_eigen = int(n_eigen)
+        n_eigen = _as_int(n_eigen, "n_eigen", 1)
         x = _as_point(x)
         y = _as_point(y)
         for p in (x, y):
@@ -196,47 +186,21 @@ class GinibreSpectrum:
     """
 
     def __init__(self, radius: float):
-        radius = float(radius)
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise DomainError(f"Ginibre radius must be positive and finite, got {radius}")
-        self.radius = radius
+        self.radius = _as_real(radius, "Ginibre radius")
 
     def __repr__(self):
         return f"GinibreSpectrum({self.radius!r})"
 
     def eigenvalue(self, n: int) -> float:
-        return float(gammainc(_check_index(n) + 1, self.radius * self.radius))
+        return float(gammainc(_as_int(n, "eigenvalue index") + 1, self.radius * self.radius))
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
-        if int(n_eigen) != n_eigen or n_eigen < 0:
-            raise DomainError(f"n_eigen must be a non-negative integer, got {n_eigen}")
-        return gammainc(np.arange(1, int(n_eigen) + 1), self.radius * self.radius)
+        return gammainc(np.arange(1, _as_int(n_eigen, "n_eigen") + 1), self.radius * self.radius)
 
-    def trace(self, tol: float = 1e-10) -> float:
-        """Partial eigenvalue sum with a certified geometric tail bound.
+    def trace(self) -> float:
+        """Exact trace R**2.
 
-        Poisson upper-tail ratios lambda_{n+1}/lambda_n are nonincreasing
-        (log-concavity of the Poisson law), so once the running eigenvalue
-        is small and n is past the bulk the remainder is at most
-        lambda * rho / (1 - rho).  The sum stops when that bound is below
-        tol / 2; the returned value then sits within tol of the true trace.
+        P(n+1, R**2) is the probability that a Poisson(R**2) variable is at
+        least n + 1, so the eigenvalues sum to its mean.
         """
-        tol = float(tol)
-        if not (0.0 < tol < 1.0):
-            raise DomainError(f"tol must lie in (0, 1), got {tol}")
-        x = self.radius * self.radius
-        bulk = x + 10.0 * math.sqrt(x) + 20.0
-        total = 0.0
-        prev = None
-        n = 0
-        while True:
-            lam = float(gammainc(n + 1, x))
-            total += lam
-            if prev is not None and n > bulk and lam < tol / 10.0:
-                rho = lam / prev
-                if rho < 1.0 and lam * rho / (1.0 - rho) < tol / 2.0:
-                    return total
-            prev = lam
-            n += 1
-            if n > 10_000_000:
-                raise ArithmeticError("Ginibre trace failed to converge")
+        return self.radius * self.radius

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _as_int
 
 __all__ = ["PHASE_SAMPLE", "PHASE_BERNOULLI", "PHASE_MODULI", "PHASE_CONJECTURE", "make_rng"]
 
@@ -21,23 +21,21 @@ PHASE_BERNOULLI = 1   # count-only Monte Carlo replicas
 PHASE_MODULI = 2      # radial-law draws
 PHASE_CONJECTURE = 3  # reserved; retired moduli experiment
 
-_MASK64 = (1 << 64) - 1
+# the key words have room for seeds below 2**64 and replicas below 2**56
+_SEED_END = 1 << 64
+_REPLICA_END = 1 << 56
 
 
 def make_rng(seed: int, replica: int = 0, phase: int = PHASE_SAMPLE) -> np.random.Generator:
     """Return the Philox generator for one (seed, replica, phase) cell.
 
-    The 128-bit Philox key is [seed, replica << 8 | phase], so up to 2**56
-    replicas and 256 phases per seed are collision-free.
+    The 128-bit Philox key is [seed, replica << 8 | phase], so seeds below
+    2**64, up to 2**56 replicas and 256 phases per seed are collision-free;
+    anything outside those ranges is rejected rather than wrapped onto
+    another cell's key.
     """
-    seed = int(seed)
-    replica = int(replica)
-    phase = int(phase)
-    if seed < 0:
-        raise DomainError("seed must be a non-negative integer")
-    if replica < 0 or replica >= 1 << 56:
-        raise DomainError("replica index out of range [0, 2**56)")
-    if phase < 0 or phase >= 1 << 8:
-        raise DomainError("phase tag out of range [0, 256)")
-    key = np.array([seed & _MASK64, ((replica << 8) | phase) & _MASK64], dtype=np.uint64)
+    seed = _as_int(seed, "seed", 0, _SEED_END)
+    replica = _as_int(replica, "replica", 0, _REPLICA_END)
+    phase = _as_int(phase, "phase tag", 0, 1 << 8)
+    key = np.array([seed, (replica << 8) | phase], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
-from .errors import DomainError
+from .errors import DomainError, _as_int, _as_real
 from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
 from .spectral import BergmanSpectrum
 from .streams import PHASE_BERNOULLI, make_rng
@@ -155,9 +155,7 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     deterministic given the config seed and any replica can be replayed:
     its count is the size of bernoulli_phase's draw on the same stream.
     """
-    if int(reps) != reps or reps < 1:
-        raise DomainError(f"reps must be a positive integer, got {reps}")
-    reps = int(reps)
+    reps = _as_int(reps, "reps", 1)
     lam = _eigenvalues(spectrum, config.resolve_truncation(spectrum))
     counts = np.empty(reps, dtype=np.int64)
     for r in range(reps):
@@ -205,6 +203,7 @@ def count_gof(
     Cells are merged left to right until each expected count reaches 5;
     degrees of freedom are merged cells minus one.
     """
+    alpha = _as_real(alpha, "alpha", 0, 1)
     obs = np.asarray(histogram, dtype=float)
     if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0):
         raise DomainError("histogram must be a one-dimensional array of counts")
@@ -239,14 +238,14 @@ def count_gof(
     me = np.array(merged_exp)
     statistic = float(((mo - me) ** 2 / me).sum())
     df = len(me) - 1
-    threshold = float(_stats.chi2.ppf(1.0 - float(alpha), df))
+    threshold = float(_stats.chi2.ppf(1.0 - alpha, df))
     return GofReport(
         name=name,
         statistic=statistic,
         threshold=threshold,
         sample_size=int(reps),
         passed=statistic <= threshold,
-        extra={"cells": len(me), "alpha": float(alpha)},
+        extra={"cells": len(me), "alpha": alpha},
     )
 
 
@@ -269,6 +268,7 @@ def intensity_profile_test(
     variance of a determinantal process is below its mean, so the gate is
     conservative.
     """
+    alpha = _as_real(alpha, "alpha", 0, 1)
     configs = list(configs)
     if not configs:
         raise DomainError("no configurations supplied")
@@ -287,6 +287,8 @@ def intensity_profile_test(
         if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
             raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
         cleaned.append((r1, r2))
+    if not cleaned:
+        raise DomainError("no bins supplied")
     order = sorted(cleaned)
     for (l1, l2), (m1, m2) in zip(order, order[1:]):
         if m1 < l2:
@@ -310,7 +312,7 @@ def intensity_profile_test(
         dtype=float,
     )
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    threshold = float(_stats.chi2.ppf(1.0 - float(alpha), len(cleaned)))
+    threshold = float(_stats.chi2.ppf(1.0 - alpha, len(cleaned)))
     table = {
         "bins": [
             {"r1": r1, "r2": r2, "observed": o, "expected": e}
@@ -333,6 +335,8 @@ def ks_statistic(samples, cdf) -> float:
     n = xs.size
     if n == 0:
         raise DomainError("empty sample")
+    if np.isnan(xs).any():
+        raise DomainError("sample contains NaN")
     try:
         fs = np.asarray(cdf(xs), dtype=float)
         if fs.shape != xs.shape:
@@ -340,7 +344,8 @@ def ks_statistic(samples, cdf) -> float:
     except (TypeError, ValueError):
         # a scalar-only cdf: one that branches on x raises ValueError on an array
         fs = np.array([float(cdf(x)) for x in xs])
-    if np.any(fs < -1e-12) or np.any(fs > 1.0 + 1e-12):
+    # written so that a NaN cdf value fails it too
+    if not np.all((fs >= -1e-12) & (fs <= 1.0 + 1e-12)):
         raise DomainError("cdf values escape [0, 1]")
     i = np.arange(1, n + 1)
     return float(max((i / n - fs).max(), (fs - (i - 1) / n).max()))
@@ -348,12 +353,9 @@ def ks_statistic(samples, cdf) -> float:
 
 def ks_critical_value(n: int, alpha: float = 1e-3) -> float:
     """Asymptotic critical value sqrt(-ln(alpha/2)/2) / sqrt(n), slightly conservative."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"sample size must be a positive integer, got {n}")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(int(n))
+    n = _as_int(n, "sample size", 1)
+    alpha = _as_real(alpha, "alpha", 0, 1)
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)
 
 
 def chernoff_consistency(dist: CountDistribution, cs) -> list[dict]:
@@ -398,7 +400,6 @@ def bound_audit(
     beta_grid,
     chernoff_n: int = 50,
     cs=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    tol: float = 1e-12,
 ) -> AuditResult:
     """Dominance chain and Chernoff-vs-exact comparisons over a grid.
 
@@ -411,7 +412,7 @@ def bound_audit(
     results = []
     for radius in r_grid:
         for beta in beta_grid:
-            rep = build_bound_report(radius, beta=float(beta), tol=tol)
+            rep = build_bound_report(radius, beta=float(beta))
             ok = (
                 rep.coincidence_probability <= rep.coupling_tail + 1e-12
                 and rep.coupling_tail <= rep.wasserstein_bound + 1e-12

@@ -113,10 +113,14 @@ def test_03_trace_identities(acceptance_log):
     if round(trace, 7) != 4.2631579:
         fails.append(f"disc(0.9) trace rounds to {round(trace, 7)}, want 4.2631579")
 
+    # the closed-form trace, and the eigenvalue series summed here, not taken from it
     for radius in (0.5, 1.0, 2.0):
-        got = GinibreSpectrum(radius).trace(tol=1e-10)
+        spectrum = GinibreSpectrum(radius)
+        if spectrum.trace() != radius * radius:
+            fails.append(f"ginibre trace({radius}) = {spectrum.trace()!r}, want R**2")
+        got = float(np.sum(spectrum.eigenvalues(200)))
         if abs(got - radius * radius) > 1e-8:
-            fails.append(f"ginibre trace({radius}) = {got!r}, want R**2 within 1e-8")
+            fails.append(f"ginibre eigenvalue sum({radius}) = {got!r}, want R**2 within 1e-8")
 
     _finish(acceptance_log, "03 trace identities", t0, 1.0, fails)
 

@@ -1,0 +1,170 @@
+"""One table over every public entry point that takes a count, an index, a
+seed or a bounded real.  Each is fed NaN, +-inf, None, a string, 1.5 where
+an integer is required, and the first value outside its range; each must
+raise the package's named error (never a bare TypeError, ValueError or
+OverflowError, and never truncate 1.5 to 1)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bergman_dpp import (
+    ActiveIndexSet,
+    BergmanSpectrum,
+    BoundaryRegion,
+    DomainError,
+    ExplicitWeights,
+    FamilySpec,
+    GeometricWeights,
+    GinibreSpectrum,
+    RegionError,
+    SamplerConfig,
+    annulus,
+    bernoulli_phase,
+    build_bound_report,
+    check_properties,
+    chernoff_lower,
+    chernoff_upper,
+    coincidence_probability,
+    count_gof,
+    count_pmf,
+    coupling_tail,
+    default_bound_truncation,
+    default_truncation,
+    disc,
+    intensity_profile_test,
+    ks_critical_value,
+    make_rng,
+    mc_count_stats,
+    min_radius_cdf,
+    sample,
+    sample_moduli,
+    sample_positions,
+    sufficiency_margin,
+    truncation_constants,
+    wasserstein_bound,
+)
+
+NAN, INF = float("nan"), float("inf")
+NOT_REAL = (NAN, INF, -INF, None, "x")
+NOT_INT = NOT_REAL + (1.5,)
+
+SPEC = BergmanSpectrum.disc(0.9)
+GIN = GinibreSpectrum(1.0)
+WEIGHTS = GeometricWeights(0.1, 0.5)
+CONFS = [sample(SPEC, SamplerConfig(n_eigen=5, seed=1), replica=r) for r in range(3)]
+HIST = np.bincount([0, 1, 1, 2, 2, 2, 3, 3, 4] * 20, minlength=6)
+DIST = count_pmf(SPEC.eigenvalues(5))
+
+
+def _family(**kw):
+    args = {"a0": 0.2, "b0": 0.3, "weights": WEIGHTS, "count": 5}
+    args.update(kw)
+    return FamilySpec(**args)
+
+
+# (name, call, a valid value, bad values beyond NOT_INT / NOT_REAL, error)
+INT_CASES = [
+    ("SamplerConfig.n_eigen", lambda v: SamplerConfig(n_eigen=v), 3, (0,), DomainError),
+    ("SamplerConfig.seed", lambda v: SamplerConfig(beta=1.0, seed=v), 7, (-1, 1 << 64), DomainError),
+    ("SamplerConfig.max_rejections", lambda v: SamplerConfig(beta=1.0, max_rejections=v), 9, (0,), DomainError),
+    ("ActiveIndexSet.indices", lambda v: ActiveIndexSet((v,), 8), 2, (-1, 8), DomainError),
+    ("ActiveIndexSet.n_eigen", lambda v: ActiveIndexSet((), v), 3, (-1,), DomainError),
+    ("make_rng.seed", lambda v: make_rng(v), 3, (-1, 1 << 64), DomainError),
+    ("make_rng.replica", lambda v: make_rng(0, v), 3, (-1, 1 << 56), DomainError),
+    ("make_rng.phase", lambda v: make_rng(0, 0, v), 3, (-1, 256), DomainError),
+    ("sample.replica", lambda v: sample(SPEC, SamplerConfig(n_eigen=3), v), 1, (-1, 1 << 56), DomainError),
+    (
+        "sample_positions.max_rejections",
+        lambda v: sample_positions(SPEC, ActiveIndexSet((0,), 1), make_rng(0), v),
+        5, (0,), DomainError,
+    ),
+    ("bernoulli_phase.n_eigen", lambda v: bernoulli_phase(SPEC, v, make_rng(0)), 4, (0,), DomainError),
+    ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,), DomainError),
+    ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,), DomainError),
+    ("FamilySpec.count", lambda v: _family(count=v), 4, (0,), RegionError),
+    ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,), DomainError),
+    ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,), DomainError),
+    ("BergmanSpectrum.underflow_index", SPEC.underflow_index, 4, (-1,), DomainError),
+    ("BergmanSpectrum.eigenfunction", lambda v: SPEC.eigenfunction(v, 0.1), 4, (-1,), DomainError),
+    ("BergmanSpectrum.truncated_kernel", lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,), DomainError),
+    ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,), DomainError),
+    ("GinibreSpectrum.eigenvalue", GIN.eigenvalue, 4, (-1,), DomainError),
+    ("coupling_tail.n_eigen", lambda v: coupling_tail(0.9, v), 4, (-1,), DomainError),
+    ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,), DomainError),
+    ("sufficiency_margin.n_eigen", lambda v: sufficiency_margin(0.5, v), 4, (0,), DomainError),
+    ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,), DomainError),
+    ("mc_count_stats.reps", lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0,), DomainError),
+    ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
+]
+
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+REAL_CASES = [
+    ("SamplerConfig.beta", lambda v: SamplerConfig(beta=v), 2.0, (0.0,), DomainError),
+    ("default_truncation.beta", lambda v: default_truncation(SPEC, v), 2.0, (0.0,), DomainError),
+    ("default_bound_truncation.beta", lambda v: default_bound_truncation(0.9, v), 2.0, (0.0,), DomainError),
+    ("wasserstein_bound.beta", lambda v: wasserstein_bound(0.9, v), 2.0, (0.0,), DomainError),
+    ("truncation_constants.radius", truncation_constants, 0.5, (0.0, 1.0), DomainError),
+    ("coupling_tail.radius", lambda v: coupling_tail(v, 3), 0.5, (0.0, 1.0), DomainError),
+    ("coincidence_probability.radius", lambda v: coincidence_probability(v, 3), 0.5, (0.0, 1.0), DomainError),
+    ("coincidence_probability.tol", lambda v: coincidence_probability(0.9, 3, v), 1e-6, (0.0, 1.0), DomainError),
+    ("build_bound_report.radius", lambda v: build_bound_report(v, beta=1.0), 0.5, (0.0, 1.0), DomainError),
+    ("chernoff_lower.mean", lambda v: chernoff_lower(v, 0.5), 3.0, (0.0,), DomainError),
+    ("chernoff_lower.c", lambda v: chernoff_lower(3.0, v), 0.5, (0.0, 1.0), DomainError),
+    ("chernoff_upper.mean", lambda v: chernoff_upper(v, 0.5), 3.0, (0.0,), DomainError),
+    ("chernoff_upper.c", lambda v: chernoff_upper(3.0, v), 0.5, (0.0,), DomainError),
+    ("sufficiency_margin.eps", lambda v: sufficiency_margin(v, 3), 0.5, (0.0, 1.0), DomainError),
+    ("GinibreSpectrum.radius", GinibreSpectrum, 1.5, (0.0,), DomainError),
+    ("ks_critical_value.alpha", lambda v: ks_critical_value(100, v), 0.01, (0.0, 1.0), DomainError),
+    ("count_gof.alpha", lambda v: count_gof(HIST, DIST, alpha=v), 0.01, (0.0, 1.0), DomainError),
+    (
+        "intensity_profile_test.alpha",
+        lambda v: intensity_profile_test(CONFS, SPEC, [(0.0, 0.5)], alpha=v),
+        0.01, (0.0, 1.0), DomainError,
+    ),
+    ("check_properties.delta", lambda v: check_properties(disc(0.5), v), 0.1, (0.0, _ABOVE_ONE), DomainError),
+    ("BoundaryRegion.eps", BoundaryRegion, 0.1, (0.0, _ABOVE_ONE), DomainError),
+    ("disc.radius", disc, 0.5, (0.0, 1.0), RegionError),
+    ("annulus.inner", lambda v: annulus(v, 0.9), 0.5, (-0.1, 0.9), RegionError),
+    ("annulus.outer", lambda v: annulus(0.5, v), 0.9, (0.5, 1.0), RegionError),
+    ("GeometricWeights.u0", lambda v: GeometricWeights(v, 0.5), 0.1, (0.0,), RegionError),
+    ("GeometricWeights.ratio", lambda v: GeometricWeights(0.1, v), 0.5, (0.0, 1.0), RegionError),
+    ("ExplicitWeights.values", lambda v: ExplicitWeights((0.1, v)), 0.2, (0.0,), RegionError),
+    ("FamilySpec.a0", lambda v: _family(a0=v), 0.2, (0.0, 0.3), RegionError),
+    ("FamilySpec.b0", lambda v: _family(b0=v), 0.3, (0.2, 1.0), RegionError),
+    ("FamilySpec.theta", lambda v: _family(rule="offset", theta=v), 0.5, (0.0, 1.0), RegionError),
+]
+
+
+def _rows(cases, bad):
+    return [
+        pytest.param(call, value, error, id=f"{name}-{value!r}")
+        for name, call, _, extra, error in cases
+        for value in bad + extra
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, value", [pytest.param(c[1], c[2], id=c[0]) for c in INT_CASES + REAL_CASES]
+)
+def test_valid_value_accepted(call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("call, value, error", _rows(INT_CASES, NOT_INT) + _rows(REAL_CASES, NOT_REAL))
+def test_bad_value_raises_named_error(call, value, error):
+    with pytest.raises(error):
+        call(value)
+
+
+def test_integral_floats_become_ints():
+    # 2.0 is an integer; it is stored and recorded as the int 2
+    active = ActiveIndexSet((1.0,), 2.0)
+    assert active.indices == (1,) and active.n_eigen == 2
+    assert all(type(i) is int for i in active.indices) and type(active.n_eigen) is int
+    cfg = SamplerConfig(n_eigen=5.0, seed=3.0)
+    assert (cfg.n_eigen, cfg.seed) == (5, 3) and type(cfg.seed) is int
+    conf = sample(SPEC, SamplerConfig(n_eigen=9, seed=4), replica=1.0)
+    assert type(conf.meta.replica) is int
+    assert conf.to_dict() == sample(SPEC, SamplerConfig(n_eigen=9, seed=4), replica=1).to_dict()

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 from bergman_dpp import (
     BergmanSpectrum,
     DomainError,
+    GinibreSpectrum,
     build_bound_report,
     chernoff_lower,
     chernoff_upper,
     coincidence_probability,
     coupling_tail,
     default_bound_truncation,
-    ginibre_expected_count,
     sufficiency_margin,
     truncation_constants,
     wasserstein_bound,
@@ -225,10 +225,11 @@ def test_margin_domain():
 # Ginibre expectation
 # -----------------------------------------------------------------------------
 def test_ginibre_expected_count():
-    assert ginibre_expected_count(2.0) == 4.0
-    assert ginibre_expected_count(0.5) == 0.25
+    # E|X cap D_R| for the Ginibre process is the trace R**2 of its spectrum
+    assert GinibreSpectrum(2.0).trace() == 4.0
+    assert GinibreSpectrum(0.5).trace() == 0.25
     with pytest.raises(DomainError):
-        ginibre_expected_count(-1.0)
+        GinibreSpectrum(-1.0)
 
 
 # -----------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_spectrum_ginibre(capsys):
     assert rc == 0
     data = json.loads(out)
     values = data["results"][0]["values"]
-    assert values["trace"] == pytest.approx(1.0, abs=1e-8)
+    assert values["trace"] == 1.0
     assert values["eigenvalues"][0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
 
 

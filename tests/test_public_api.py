@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,18 @@ def test_spectrum_methods_defined_on_class():
     # the benchmark's span tracer looks both up in the class dict
     for attr in ("eigenvalues", "feature_matrix"):
         assert attr in BergmanSpectrum.__dict__
+
+
+def test_integer_rule_only_in_errors():
+    # errors._as_int is the one integer-argument rule; hand-written copies of
+    # `int(x) != x` elsewhere got NaN, inf, None and strings wrong
+    idiom = re.compile(r"\bint\([^()]*\)\s*!=|!=\s*int\(")
+    package = Path(bergman_dpp.__file__).parent
+    copies = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if idiom.search(line)
+    ]
+    assert not copies, f"integer checks outside errors.py: {copies}"

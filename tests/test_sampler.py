@@ -496,3 +496,17 @@ def test_streams_validation():
         make_rng(0, 1 << 56)
     with pytest.raises(DomainError):
         make_rng(0, 0, 256)
+
+
+def test_seed_beyond_key_word_rejected(disc09):
+    # the key keeps a seed in one 64-bit word: seed + 2**64 must not replay seed
+    with pytest.raises(DomainError):
+        make_rng(5 + (1 << 64))
+    with pytest.raises(DomainError):
+        SamplerConfig(beta=5.0, seed=5 + (1 << 64))
+    top = (1 << 64) - 1
+    key = np.array([top, 3 << 8 | 1], dtype=np.uint64)
+    expect = np.random.Generator(np.random.Philox(key=key)).random(4)
+    assert make_rng(top, 3, 1).random(4).tolist() == expect.tolist()
+    conf = sample(disc09, SamplerConfig(beta=5.0, seed=top))
+    assert conf.meta.seed == top

@@ -292,10 +292,13 @@ def test_ginibre_eigenvalue_formula():
 
 
 def test_ginibre_trace_is_r_squared():
-    for radius in (0.5, 1.0, 2.0):
-        assert GinibreSpectrum(radius).trace(1e-10) == pytest.approx(
-            radius * radius, abs=1e-9
-        )
+    # the closed form, and the eigenvalue series it stands for
+    assert GinibreSpectrum(2.0).trace() == 4.0
+    assert GinibreSpectrum(0.5).trace() == 0.25
+    for radius in (0.5, 1.0, 2.0, 5.0):
+        g = GinibreSpectrum(radius)
+        assert g.trace() == radius * radius
+        assert float(np.sum(g.eigenvalues(400))) == pytest.approx(g.trace(), abs=1e-12)
 
 
 def test_ginibre_eigenvalues_vector():
@@ -311,9 +314,8 @@ def test_ginibre_domain():
         GinibreSpectrum(0.0)
     with pytest.raises(DomainError):
         GinibreSpectrum(float("inf"))
-    g = GinibreSpectrum(1.0)
     with pytest.raises(DomainError):
-        g.trace(2.0)
+        GinibreSpectrum(-1.0)
 
 
 # -----------------------------------------------------------------------------

@@ -297,6 +297,13 @@ def test_intensity_profile_validation(disc09):
         intensity_profile_test([1, 2], disc09, [(0.0, 0.5)])
 
 
+def test_intensity_profile_needs_bins(disc09):
+    # no bins is no test: a nan threshold with passed=False is not a verdict
+    confs = [sample(disc09, SamplerConfig(n_eigen=5, seed=1), replica=r) for r in range(3)]
+    with pytest.raises(DomainError):
+        intensity_profile_test(confs, disc09, [])
+
+
 # -----------------------------------------------------------------------------
 # KS machinery
 # -----------------------------------------------------------------------------
@@ -330,6 +337,16 @@ def test_ks_statistic_validation():
         ks_statistic([], lambda x: x)
     with pytest.raises(DomainError):
         ks_statistic([0.5], lambda x: x * 3.0)
+
+
+def test_ks_statistic_rejects_nan():
+    # a NaN statistic would pass every `stat >= crit` gate
+    with pytest.raises(DomainError):
+        ks_statistic([0.2, float("nan")], lambda x: np.where(x < 0.5, x, 0.5))
+    with pytest.raises(DomainError):
+        ks_statistic([0.2, 0.4], lambda x: np.full_like(x, np.nan))
+    with pytest.raises(DomainError):
+        ks_statistic([0.2, 0.4], lambda x: float("nan") if x > 0.3 else x)
 
 
 def test_ks_critical_value_matches_kolmogorov_tail():
