@@ -54,7 +54,7 @@ from .sampler import (
     sample_positions,
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum, bergman_kernel
-from .streams import PHASE_BERNOULLI, PHASE_CONJECTURE, PHASE_MODULI, PHASE_SAMPLE, make_rng
+from .streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, make_rng
 from .verify import (
     AuditResult,
     CountDistribution,

@@ -168,7 +168,7 @@ def _cmd_region(args) -> int:
             "measure": region_measure(build.region),
         }
         results.append({"name": "family", "values": values})
-        target = parsed
+        target = build
     else:
         values = {
             "intervals": [[a, b] for a, b in parsed.intervals],
@@ -181,7 +181,7 @@ def _cmd_region(args) -> int:
         results.append(
             {"name": f"properties:delta={d}", "values": check_properties(target, d).to_dict()}
         )
-    results.append({"name": "finite-trace", "values": finite_trace_check(target).to_dict()})
+    results.append({"name": "finite-trace", "values": finite_trace_check(parsed).to_dict()})
     _emit(_report({"spec": args.spec, "deltas": deltas}, results), args.out)
     return 0
 

@@ -48,23 +48,25 @@ def _as_int(value, name: str, minimum: int = 0, maximum: int | None = None, erro
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        kind = {0: "non-negative", 1: "positive"}.get(minimum, f">= {minimum}")
+        kind = {0: "a non-negative", 1: "a positive", -math.inf: "an"}.get(minimum, f"a >= {minimum}")
         below = "" if maximum is None else f" below {maximum}"
-        raise error(f"{name} must be a {kind} integer{below}, got {value}")
+        raise error(f"{name} must be {kind} integer{below}, got {value}")
     return n
 
 
-def _as_real(value, name: str, low=0, high=math.inf, error=DomainError, closed=False):
-    """value as a float in (low, high), or in (low, high] when closed, else error."""
+def _as_real(value, name: str, low=0, high=math.inf, error=DomainError, ends="()"):
+    """value as a float in (low, high), else error; ends "(]" or "[]" closes an end."""
     try:
         # float() parses strings, which would let "0.5" pass for a number
         x = math.nan if isinstance(value, (str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not (low < x <= high if closed else low < x < high):
-        if (low, high) == (0, math.inf):
+    above = low <= x if ends[0] == "[" else low < x
+    below = x <= high if ends[1] == "]" else x < high
+    if not (above and below):
+        if (low, high, ends) == (0, math.inf, "()"):
             want = "be positive and finite"
         else:
-            want = f"lie in ({low}, {high}{']' if closed else ')'}"
+            want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
         raise error(f"{name} must {want}, got {value}")
     return x

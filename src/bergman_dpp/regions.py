@@ -442,38 +442,38 @@ def check_properties(
 ) -> PropertyReport:
     """Report boundary contact within (1 - delta, 1) and the area margin.
 
-    For a FamilySpec (or a finished FamilyBuild, examined via its spec) the
-    endpoints are checked in their native precision, so witnesses beyond
-    float64 resolution are still detected, and the geometric contraction of
-    the placement rule yields a predicted witness step
+    For a FamilySpec (built here) or a finished FamilyBuild the endpoints
+    are checked in their native precision, so witnesses beyond float64
+    resolution are still detected, and the geometric contraction of the
+    placement rule yields a predicted witness step
     ceil(log(gap0 / delta) / log(1 / contraction)).
     """
-    delta = _as_real(delta, "delta", 0, 1, closed=True)
-
-    if isinstance(obj, FamilyBuild):
-        obj = obj.spec
+    delta = _as_real(delta, "delta", 0, 1, ends="(]")
 
     if isinstance(obj, FamilySpec):
-        build = construct_family(obj)
+        obj = construct_family(obj)
+
+    if isinstance(obj, FamilyBuild):
+        spec = obj.spec
         thr = mp.mpf(1) - mp.mpf(delta)
         witness_index = None
-        for j, (a, b) in enumerate(build.endpoints):
+        for j, (a, b) in enumerate(obj.endpoints):
             # [a, b] meets (1 - delta, 1) on (max(a, 1-delta), b], open iff b > 1 - delta
             if b > thr:
                 witness_index = j
                 break
         measure = float(
-            mp.pi * mp.fsum((b - a) * (b + a) for a, b in build.endpoints)
+            mp.pi * mp.fsum((b - a) * (b + a) for a, b in obj.endpoints)
         )
-        contraction = obj.contraction()
-        gap0 = 1.0 - obj.b0
+        contraction = spec.contraction()
+        gap0 = 1.0 - spec.b0
         if delta >= gap0:
             predicted = 0
         else:
             predicted = math.ceil(math.log(gap0 / delta) / math.log(1.0 / contraction))
         return PropertyReport(
             delta=delta,
-            horizon=obj.count,
+            horizon=spec.count,
             witness_found=witness_index is not None,
             witness_index=witness_index,
             predicted_witness_index=predicted,
@@ -500,7 +500,7 @@ def check_properties(
             rule_forces_boundary_contact=None,
         )
 
-    raise DomainError(f"expected RadialRegion or FamilySpec, got {type(obj).__name__}")
+    raise DomainError(f"expected RadialRegion, FamilySpec or FamilyBuild, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +510,7 @@ class BoundaryRegion:
     eps: float
 
     def __post_init__(self):
-        _as_real(self.eps, "boundary band width", 0, 1, closed=True)
+        _as_real(self.eps, "boundary band width", 0, 1, ends="(]")
 
 
 @dataclass(frozen=True)

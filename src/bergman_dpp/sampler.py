@@ -13,6 +13,8 @@ to b**(2n+2) - a**(2n+2), r**(2n+2) inverted there in closed form, and a
 uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
+The table and the log-space normalizers of phi_n come from
+BergmanSpectrum._mixture, which the eigenvalue underflow clamp never reaches.
 
 Stream discipline: chunk sizes depend only on (m, i, chunk number), so a
 (seed, replica) replays byte-identically; SAMPLER_VERSION names the stream.
@@ -33,7 +35,7 @@ from .errors import (
     _as_int,
     _as_real,
 )
-from .spectral import BergmanSpectrum
+from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, make_rng
 
 __all__ = [
@@ -177,8 +179,8 @@ class PointConfiguration:
 
 def default_truncation(spectrum, beta: float) -> int:
     """ceil(beta * trace), at least 1; needs a closed-form-trace spectrum."""
-    if not isinstance(spectrum, BergmanSpectrum):
-        raise DomainError("default truncation needs a Bergman-restriction spectrum")
+    if not isinstance(spectrum, (BergmanSpectrum, GinibreSpectrum)):
+        raise DomainError("default truncation needs a Bergman or Ginibre spectrum")
     return max(1, math.ceil(_as_real(beta, "beta") * spectrum.trace()))
 
 
@@ -218,21 +220,7 @@ def sample_positions(
     rejections: list[int] = []
     proposals = 0
     if m:
-        # a row per (index, interval) pair, index-major: b, (a/b)**k, 1 - (a/b)**k
-        # and 1/k for k = 2n + 2.  Pair masses (b**k - a**k) / B**k, B the outer
-        # radius, sum to lambda_n / B**k per index and are scaled to 1 below
-        a, b = np.array(region.intervals, dtype=float).T
-        k = 2.0 * idx[:, None] + 2.0
-        with np.errstate(divide="ignore"):
-            log_rho = k * np.log(a / b)  # -inf on a disc
-        gap = -np.expm1(log_rho)
-        table = np.stack(np.broadcast_arrays(b, np.exp(log_rho), gap, 1 / k), -1).reshape(-1, 4)
-        log_outer = math.log(region.outer_radius)
-        mass = np.exp(k * (np.log(b) - log_outer)) * gap
-        row = mass.sum(axis=1)
-        cum = np.cumsum(mass / row[:, None])
-        # log sqrt((n + 1) / (pi lambda_n)), finite even where lambda_n underflows
-        log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
+        table, cum, log_inv = spectrum._mixture(idx)
         basis = np.zeros((m, m), dtype=complex)
 
     for i in range(m):
@@ -319,9 +307,7 @@ def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
 def min_radius_cdf(n: int, x: float) -> float:
     """P(min of the first n moduli <= x) = 1 - prod_{k=1}^n (1 - x**(2k))."""
     n = _as_int(n, "count", 1)
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("x must be a real number")
+    x = _as_real(x, "x", -math.inf)
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

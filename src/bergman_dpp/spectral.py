@@ -31,7 +31,7 @@ __all__ = [
     "GinibreSpectrum",
 ]
 
-# eigenvalues below this are clamped to zero; the flag is underflow_index()
+# eigenvalues() clamps values below this to zero; the flag is underflow_index()
 UNDERFLOW_FLOOR = 1e-300
 
 
@@ -59,8 +59,9 @@ class BergmanSpectrum:
     """Spectrum of the Bergman kernel restricted to a radial region.
 
     Eigenvalues, eigenfunctions and partial kernel sums all come from the
-    interval endpoints in closed form.  Eigenvalues below UNDERFLOW_FLOOR
-    are clamped to zero; underflow_index() reports where that starts.
+    interval endpoints in closed form.  eigenvalues() clamps values below
+    UNDERFLOW_FLOOR to zero, and underflow_index() reports where that
+    starts; eigenfunctions use unclamped log-space normalizers.
     """
 
     def __init__(self, region: RadialRegion):
@@ -117,37 +118,44 @@ class BergmanSpectrum:
 
     # -- eigenfunctions ------------------------------------------------------
 
-    def _inv_sqrt_nu(self, indices: np.ndarray) -> np.ndarray:
-        top = int(indices.max()) + 1
-        lam = self.eigenvalues(top)[indices]
+    def _mixture(self, idx: np.ndarray):
+        """Proposal table, cumulative pair masses and log(1/sqrt(nu_n)) for idx.
+
+        A table row per (index, interval) pair, index-major: b, (a/b)**k,
+        1 - (a/b)**k and 1/k for k = 2n + 2.  Pair masses (b**k - a**k) / B**k,
+        B the outer radius, sum to lambda_n / B**k per index, so the
+        normalizers stay finite where lambda_n underflows.
+        """
+        a, b = np.array(self.region.intervals, dtype=float).T
+        k = 2.0 * idx[:, None] + 2.0
         with np.errstate(divide="ignore"):
-            inv = np.sqrt((indices + 1.0) / (math.pi * lam))
-        return inv
+            log_rho = k * np.log(a / b)  # -inf on a disc
+        gap = -np.expm1(log_rho)
+        table = np.stack(np.broadcast_arrays(b, np.exp(log_rho), gap, 1 / k), -1).reshape(-1, 4)
+        log_outer = math.log(self.region.outer_radius)
+        mass = np.exp(k * (np.log(b) - log_outer)) * gap
+        row = mass.sum(axis=1)
+        cum = np.cumsum(mass / row[:, None])
+        # log sqrt((n + 1) / (pi lambda_n)) with lambda_n = B**k * row
+        log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
+        return table, cum, log_inv
 
     def feature_matrix(self, indices, z) -> np.ndarray:
-        """Matrix phi_n(z_i) for n in indices; no membership checks.
+        """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))); no membership checks.
 
-        Monomials come from a running product along the degree axis, and the
-        normalizer is applied as one multiplication per entry.
+        The sampler's expression and normalizers, finite wherever it draws;
+        at z = 0 only phi_0 is nonzero.
         """
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if indices.size == 0:
-            return np.zeros((z.size, 0), dtype=complex)
         if np.any(indices < 0):
             raise DomainError("eigenfunction indices must be non-negative")
-        inv = self._inv_sqrt_nu(indices)
-        if not np.all(np.isfinite(inv)):
-            bad = indices[~np.isfinite(inv)]
-            raise DomainError(
-                f"eigenvalue underflow at indices {bad.tolist()}: eigenfunctions "
-                "are not representable there"
-            )
-        top = int(indices.max())
-        powers = np.ones((z.size, top + 1), dtype=complex)
-        if top:
-            powers[:, 1:] = np.cumprod(np.broadcast_to(z[:, None], (z.size, top)), axis=1)
-        return powers[:, indices] * inv[None, :]
+        log_inv = self._mixture(indices)[2]
+        zero = z == 0
+        feats = np.empty((z.size, indices.size), dtype=complex)
+        feats[~zero] = np.exp(np.multiply.outer(np.log(z[~zero]), indices) + log_inv)
+        feats[zero] = np.exp(np.where(indices == 0, log_inv, -np.inf))
+        return feats
 
     def eigenfunction(self, n: int, x) -> complex:
         """phi_n(x) = x**n / sqrt(nu_n) for x in the closed region."""

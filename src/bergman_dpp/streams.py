@@ -13,13 +13,13 @@ import numpy as np
 
 from .errors import _as_int
 
-__all__ = ["PHASE_SAMPLE", "PHASE_BERNOULLI", "PHASE_MODULI", "PHASE_CONJECTURE", "make_rng"]
+__all__ = ["PHASE_SAMPLE", "PHASE_BERNOULLI", "PHASE_MODULI", "make_rng"]
 
 # phase tags (low 8 bits of the second key word)
 PHASE_SAMPLE = 0      # joint Bernoulli + position stream used by sample()
 PHASE_BERNOULLI = 1   # count-only Monte Carlo replicas
 PHASE_MODULI = 2      # radial-law draws
-PHASE_CONJECTURE = 3  # reserved; retired moduli experiment
+# tag 3 stays unused, so the retired moduli experiment's keys are never reassigned
 
 # the key words have room for seeds below 2**64 and replicas below 2**56
 _SEED_END = 1 << 64

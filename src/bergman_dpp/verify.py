@@ -70,22 +70,22 @@ class CountDistribution:
         return float((k**order) @ self.pmf)
 
     def cdf(self, k: int) -> float:
+        k = _as_int(k, "count", -math.inf)
         if k < 0:
             return 0.0
-        return float(self._cdf[min(int(k), len(self.pmf) - 1)])
+        return float(self._cdf[min(k, len(self.pmf) - 1)])
 
     def upper_tail(self, k: int) -> float:
         """P(count >= k), summed from the top to keep tiny tails exact."""
+        k = _as_int(k, "count", -math.inf)
         if k <= 0:
             return 1.0
         if k >= len(self.pmf):
             return 0.0
-        return float(self.pmf[int(k):].sum())
+        return float(self.pmf[k:].sum())
 
     def quantile(self, p: float) -> int:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"quantile level must lie in [0, 1], got {p}")
+        p = _as_real(p, "quantile level", 0, 1, ends="[]")
         i = int(np.searchsorted(self._cdf, p, side="left"))
         return min(i, len(self.pmf) - 1)
 

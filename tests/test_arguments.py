@@ -97,9 +97,13 @@ INT_CASES = [
     ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,), DomainError),
     ("mc_count_stats.reps", lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0,), DomainError),
     ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
+    # every integer is a valid count here: below 0 the cdf is 0 and the tail 1
+    ("CountDistribution.cdf", DIST.cdf, 2, (), DomainError),
+    ("CountDistribution.upper_tail", DIST.upper_tail, 2, (), DomainError),
 ]
 
 _ABOVE_ONE = math.nextafter(1.0, 2.0)
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
 REAL_CASES = [
     ("SamplerConfig.beta", lambda v: SamplerConfig(beta=v), 2.0, (0.0,), DomainError),
     ("default_truncation.beta", lambda v: default_truncation(SPEC, v), 2.0, (0.0,), DomainError),
@@ -134,6 +138,8 @@ REAL_CASES = [
     ("FamilySpec.a0", lambda v: _family(a0=v), 0.2, (0.0, 0.3), RegionError),
     ("FamilySpec.b0", lambda v: _family(b0=v), 0.3, (0.2, 1.0), RegionError),
     ("FamilySpec.theta", lambda v: _family(rule="offset", theta=v), 0.5, (0.0, 1.0), RegionError),
+    ("CountDistribution.quantile", DIST.quantile, 0.5, (-_ABOVE_ZERO, _ABOVE_ONE), DomainError),
+    ("min_radius_cdf.x", lambda v: min_radius_cdf(3, v), 0.5, (), DomainError),
 ]
 
 
@@ -168,3 +174,13 @@ def test_integral_floats_become_ints():
     conf = sample(SPEC, SamplerConfig(n_eigen=9, seed=4), replica=1.0)
     assert type(conf.meta.replica) is int
     assert conf.to_dict() == sample(SPEC, SamplerConfig(n_eigen=9, seed=4), replica=1).to_dict()
+
+
+def test_count_law_domains_kept():
+    # the rule rejects non-integers and non-reals only; every finite value
+    # that had a meaning before keeps it
+    d = count_pmf([0.5, 0.5])
+    assert d.upper_tail(2) == 0.25 and d.upper_tail(-3) == 1.0 and d.upper_tail(9) == 0.0
+    assert d.cdf(-1) == 0.0 and d.cdf(-5) == 0.0 and d.cdf(2.0) == 1.0
+    assert d.quantile(0) == 0 and d.quantile(1) == 2
+    assert min_radius_cdf(3, -1.0) == 0.0 and min_radius_cdf(3, 2.0) == 1.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bergman_dpp import SamplerConfig, sample
+from bergman_dpp import SamplerConfig, cli, regions, sample
 from bergman_dpp.cli import main, parse_sample_report
 from bergman_dpp.spectral import BergmanSpectrum
 
@@ -220,6 +220,23 @@ def test_region_family(capsys):
     assert props["values"]["witness_found"] is True
     ft = next(r for r in data["results"] if r["name"] == "finite-trace")
     assert ft["values"]["finite"] is True
+
+
+def test_region_family_built_once(capsys, monkeypatch):
+    # check_properties reads the endpoints of the build the command already has
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
+
+    build = regions.construct_family
+    monkeypatch.setattr(regions, "construct_family", counting)
+    monkeypatch.setattr(cli, "construct_family", counting)
+    rc, out, _ = run(capsys, "region", "--spec", "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50")
+    assert rc == 0
+    assert len(calls) == 1
+    assert sum(r["name"].startswith("properties:") for r in json.loads(out)["results"]) == 3
 
 
 def test_region_invalid(capsys):

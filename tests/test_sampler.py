@@ -10,6 +10,7 @@ from bergman_dpp import (
     DomainError,
     EnvelopeError,
     FamilySpec,
+    GinibreSpectrum,
     OrthogonalizationError,
     PointConfiguration,
     RejectionBudgetError,
@@ -59,6 +60,15 @@ def test_default_truncation(disc09):
     assert default_truncation(BergmanSpectrum.disc(0.1), 0.1) == 1
     assert SamplerConfig(beta=5.0).resolve_truncation(disc09) == 22
     assert SamplerConfig(n_eigen=7).resolve_truncation(disc09) == 7
+
+
+def test_default_truncation_ginibre():
+    # the Ginibre trace is exactly R**2, so beta 5 on radius 2 gives 20
+    assert default_truncation(GinibreSpectrum(2.0), 5.0) == 20
+    with pytest.raises(DomainError):
+        default_truncation(object(), 5.0)
+    with pytest.raises(DomainError):
+        default_truncation(parse_region_literal("disc:0.9"), 5.0)
 
 
 def test_active_index_set_validation():

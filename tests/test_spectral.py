@@ -14,6 +14,7 @@ from bergman_dpp import (
     bergman_kernel,
     disc,
     make_region,
+    parse_region_literal,
 )
 
 
@@ -239,10 +240,43 @@ def test_feature_matrix_scalar_and_empty(disc08):
         disc08.feature_matrix([-1], 0.3)
 
 
-def test_feature_matrix_underflow_raises():
+def test_feature_matrix_past_eigenvalue_underflow():
+    # lambda_n of disc(0.5) clamps to 0 from n = 498, but phi_n stays finite
     s = BergmanSpectrum.disc(0.5)
-    with pytest.raises(DomainError):
-        s.feature_matrix([600], 0.3)
+    idx = np.array([0, 600, 1000])
+    zs = np.array([0.3, 0.4, 0.25 - 0.3j])
+    mat = s.feature_matrix(idx, zs)
+    with mp.workdps(60):
+        for i, z in enumerate(zs):
+            for j, n in enumerate(idx):
+                nu = mp.pi * mp.mpf("0.25") ** (int(n) + 1) / (int(n) + 1)
+                ref = complex(mp.mpc(z) ** int(n) / mp.sqrt(nu))
+                assert mat[i, j] == pytest.approx(ref, rel=1e-12)
+                assert s.eigenfunction(int(n), z) == pytest.approx(ref, rel=1e-12)
+    assert mat[1, 2] != 0.0 and np.all(np.isfinite(mat))
+
+
+def test_feature_matrix_at_origin(disc08):
+    # phi_0(0) = 1 / sqrt(nu_0) and phi_n(0) = 0 for n > 0
+    mat = disc08.feature_matrix([2, 0, 1000], [0.0, 0.5])
+    assert mat[0, 0] == 0.0 and mat[0, 2] == 0.0
+    assert mat[0, 1] == pytest.approx(1.0 / math.sqrt(math.pi * 0.64), rel=1e-14)
+    assert mat[1, 1] == pytest.approx(mat[0, 1], rel=1e-15)
+    assert disc08.eigenfunction(0, 0.0) == pytest.approx(mat[0, 1], rel=1e-15)
+    assert disc08.truncated_kernel(30, 0.0, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
+
+
+def test_feature_matrix_is_sampler_expression():
+    # the sampler evaluates exp(n log z + log(1/sqrt(nu_n))) with the
+    # normalizers of _mixture; feature_matrix must be that same expression
+    rng = np.random.default_rng(5)
+    for literal in ("disc:0.5", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"):
+        s = BergmanSpectrum(parse_region_literal(literal))
+        idx = np.array([0, 3, 40, 600, 1000])
+        zs = s.region.outer_radius * np.sqrt(rng.random(7)) * np.exp(2j * math.pi * rng.random(7))
+        log_inv = s._mixture(idx)[2]
+        expected = np.exp(np.multiply.outer(np.log(zs), idx) + log_inv)
+        assert np.array_equal(s.feature_matrix(idx, zs), expected)
 
 
 # -----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from bergman_dpp import (
     BergmanSpectrum,
     CountDistribution,
     DomainError,
+    GinibreSpectrum,
     SamplerConfig,
     bernoulli_phase,
     bound_audit,
@@ -200,6 +201,16 @@ def test_mc_count_stats_replays_bernoulli_phase(radius, n_eigen, reps):
     assert np.array_equal(stats.histogram, np.bincount(counts, minlength=n_eigen + 1))
     assert stats.mean == float(counts.mean())
     assert stats.variance == float(counts.var(ddof=1))
+
+
+def test_mc_count_stats_ginibre_count_law():
+    # beta 5 on GinibreSpectrum(2.0) truncates at ceil(5 * 4) = 20
+    spectrum = GinibreSpectrum(2.0)
+    cfg = SamplerConfig(beta=5.0, seed=11)
+    stats = mc_count_stats(spectrum, cfg, reps=5000)
+    assert stats.histogram.size == 21
+    rep = count_gof(stats.histogram, count_pmf(spectrum.eigenvalues(20)), alpha=1e-3)
+    assert rep.passed, rep
 
 
 # -----------------------------------------------------------------------------
