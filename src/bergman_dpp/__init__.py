@@ -56,7 +56,6 @@ from .sampler import (
 from .spectral import BergmanSpectrum, GinibreSpectrum, bergman_kernel
 from .streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, make_rng
 from .verify import (
-    AuditResult,
     CountDistribution,
     CountStats,
     GofReport,
@@ -64,7 +63,6 @@ from .verify import (
     chernoff_consistency,
     count_gof,
     count_pmf,
-    count_quantiles,
     intensity_profile_test,
     ks_critical_value,
     ks_statistic,

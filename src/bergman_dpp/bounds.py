@@ -30,6 +30,9 @@ __all__ = [
     "build_bound_report",
 ]
 
+# coincidence_probability drops the factors whose eigenvalue sum is below this
+_COINCIDENCE_TOL = 1e-12
+
 
 def truncation_constants(radius: float) -> tuple[float, float]:
     """(N_R, g): expected point count R**2/(1-R**2) and decay rate R**2/(1+R)."""
@@ -60,17 +63,16 @@ def coupling_tail(radius: float, n_eigen: int) -> float:
     return radius ** (2 * n_eigen + 4) / ((1.0 - radius) * (1.0 + radius))
 
 
-def coincidence_probability(radius: float, n_eigen: int, tol: float = 1e-12) -> float:
+def coincidence_probability(radius: float, n_eigen: int) -> float:
     """Probability 1 - prod_{k > N} (1 - lambda_k) that truncation misses an index.
 
     The product is cut once the neglected factors can move the result by
-    less than tol (their eigenvalue sum bounds the effect), and accumulated
-    through log1p to keep precision.
+    less than 1e-12 (their eigenvalue sum bounds the effect), and
+    accumulated through log1p to keep precision.
     """
     radius = _as_real(radius, "disc radius", 0, 1)
     n_eigen = _as_int(n_eigen, "truncation index")
-    tol = _as_real(tol, "tol", 0, 1)
-    cap = tol * (1.0 - radius) * (1.0 + radius)
+    cap = _COINCIDENCE_TOL * (1.0 - radius) * (1.0 + radius)
     # smallest K with R**(2K+4) < cap
     k_stop = max(n_eigen, math.ceil((math.log(cap) / math.log(radius) - 4.0) / 2.0))
     ks = np.arange(n_eigen + 1, k_stop + 1)

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the one rule by which
 arguments are checked: a count, index or seed must be a finite real equal
-to an integer in range, a bounded real a finite real inside its interval;
-anything else raises the named error instead of escaping as a bare
-TypeError or OverflowError or being truncated silently."""
+to an integer in range, a bounded real a finite real inside its interval,
+an interval or bin a pair of such reals; anything else raises the named
+error instead of escaping as a bare TypeError or OverflowError or being
+truncated silently."""
 
 import math
 
@@ -70,3 +71,12 @@ def _as_real(value, name: str, low=0, high=math.inf, error=DomainError, ends="()
             want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
         raise error(f"{name} must {want}, got {value}")
     return x
+
+
+def _as_pair(value, name: str, low=-math.inf, error=DomainError, ends="()"):
+    """value as a tuple of two floats, each checked by _as_real from low up, else error."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise error(f"{name} {value!r} is not a pair of reals") from None
+    return tuple(_as_real(x, f"{name} endpoint", low, math.inf, error, ends) for x in (a, b))

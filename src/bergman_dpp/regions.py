@@ -30,7 +30,7 @@ from typing import Union
 
 import mpmath as mp
 
-from .errors import DomainError, RegionError, _as_int, _as_real
+from .errors import DomainError, RegionError, _as_int, _as_pair, _as_real
 
 __all__ = [
     "RadialRegion",
@@ -70,18 +70,8 @@ class RadialRegion:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        coerced = []
-        for pair in self.intervals:
-            try:
-                a, b = pair
-                a = float(a)
-                b = float(b)
-            except (TypeError, ValueError) as exc:
-                raise RegionError(f"interval {pair!r} is not a pair of reals") from exc
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise RegionError(f"interval ({a}, {b}) has non-finite endpoints")
-            coerced.append((a, b))
-        object.__setattr__(self, "intervals", tuple(coerced))
+        pairs = tuple(_as_pair(p, "interval", error=RegionError) for p in self.intervals)
+        object.__setattr__(self, "intervals", pairs)
         prev_b = None
         for j, (a, b) in enumerate(self.intervals):
             if a < 0.0:
@@ -103,12 +93,6 @@ class RadialRegion:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    @property
-    def inner_radius(self) -> float:
-        if self.is_empty:
-            raise RegionError("empty region has no inner radius")
-        return self.intervals[0][0]
 
     @property
     def outer_radius(self) -> float:
@@ -140,12 +124,7 @@ def make_region(intervals) -> RadialRegion:
     """
     cleaned: list[list[float]] = []
     for pair in intervals:
-        try:
-            a, b = pair
-            a = float(a)
-            b = float(b)
-        except (TypeError, ValueError) as exc:
-            raise RegionError(f"interval {pair!r} is not a pair of reals") from exc
+        a, b = _as_pair(pair, "interval", error=RegionError)
         if cleaned and a == cleaned[-1][1]:
             # touching intervals are one interval
             if b <= a:
@@ -310,9 +289,6 @@ class FamilyBuild:
     logit_defects: tuple[float, ...]
     dropped_intervals: int
     dropped_trace: float
-
-    def endpoint_strings(self, digits: int = 36) -> tuple[tuple[str, str], ...]:
-        return tuple((mp.nstr(a, digits), mp.nstr(b, digits)) for a, b in self.endpoints)
 
 
 def _next_inner(b, spec: FamilySpec):

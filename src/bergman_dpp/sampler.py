@@ -14,7 +14,7 @@ uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
 The table and the log-space normalizers of phi_n come from
-BergmanSpectrum._mixture, which the eigenvalue underflow clamp never reaches.
+BergmanSpectrum._mixture.
 
 Stream discipline: chunk sizes depend only on (m, i, chunk number), so a
 (seed, replica) replays byte-identically; SAMPLER_VERSION names the stream.
@@ -57,6 +57,8 @@ GS_NORM_FLOOR = 1e-12
 SAMPLER_VERSION = "mixture-1"
 _CHUNK_CAP = 1024
 _RATIO_SLACK = 1e-9
+# point i needs m / (m - i) proposals on average, so no run comes near this
+_MAX_REJECTIONS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class SamplerConfig:
     beta: float | None = None
     n_eigen: int | None = None
     seed: int = 0
-    max_rejections: int = 10_000_000
 
     def __post_init__(self):
         if (self.beta is None) == (self.n_eigen is None):
@@ -76,8 +77,6 @@ class SamplerConfig:
         if self.n_eigen is not None:
             object.__setattr__(self, "n_eigen", _as_int(self.n_eigen, "n_eigen", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, _SEED_END))
-        budget = _as_int(self.max_rejections, "max_rejections", 1)
-        object.__setattr__(self, "max_rejections", budget)
 
     def resolve_truncation(self, spectrum) -> int:
         if self.n_eigen is not None:
@@ -205,14 +204,12 @@ def sample_positions(
     spectrum: BergmanSpectrum,
     active: ActiveIndexSet,
     rng: np.random.Generator,
-    max_rejections: int = SamplerConfig.max_rejections,
 ) -> PointConfiguration:
     """Draw one position per active index through the residual densities."""
     if not isinstance(spectrum, BergmanSpectrum):
         raise DomainError("positional sampling needs a monomial eigenfunction family")
     if not isinstance(active, ActiveIndexSet):
         raise DomainError(f"expected an ActiveIndexSet, got {type(active).__name__}")
-    max_rejections = _as_int(max_rejections, "max_rejections", 1)
     region = spectrum.region
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
@@ -251,9 +248,9 @@ def sample_positions(
             if len(hits):
                 break
             consumed += c
-            if consumed >= max_rejections:
+            if consumed >= _MAX_REJECTIONS:
                 raise RejectionBudgetError(
-                    f"no acceptance within {max_rejections} proposals at point "
+                    f"no acceptance within {_MAX_REJECTIONS} proposals at point "
                     f"{i + 1} of {m} (region {region.literal()})"
                 )
         j = int(hits[0])
@@ -286,7 +283,7 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
     n_eigen = config.resolve_truncation(spectrum)
     rng = make_rng(config.seed, replica, PHASE_SAMPLE)
     active = bernoulli_phase(spectrum, n_eigen, rng)
-    conf = sample_positions(spectrum, active, rng, config.max_rejections)
+    conf = sample_positions(spectrum, active, rng)
     return PointConfiguration(
         points=conf.points,
         meta=replace(conf.meta, seed=config.seed, replica=replica),

@@ -25,14 +25,10 @@ from .errors import DomainError, _as_int, _as_real
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
-    "UNDERFLOW_FLOOR",
     "bergman_kernel",
     "BergmanSpectrum",
     "GinibreSpectrum",
 ]
-
-# eigenvalues() clamps values below this to zero; the flag is underflow_index()
-UNDERFLOW_FLOOR = 1e-300
 
 
 def _as_point(z) -> complex:
@@ -59,9 +55,7 @@ class BergmanSpectrum:
     """Spectrum of the Bergman kernel restricted to a radial region.
 
     Eigenvalues, eigenfunctions and partial kernel sums all come from the
-    interval endpoints in closed form.  eigenvalues() clamps values below
-    UNDERFLOW_FLOOR to zero, and underflow_index() reports where that
-    starts; eigenfunctions use unclamped log-space normalizers.
+    interval endpoints in closed form.
     """
 
     def __init__(self, region: RadialRegion):
@@ -99,18 +93,10 @@ class BergmanSpectrum:
             safe = np.where(bp > 0.0, bp, 1.0)
             rel = np.where(bp > 0.0, -np.expm1(e * log_ratio) * safe, 0.0)
         terms = np.where(ap > 0.5 * bp, rel, bp - ap)
-        lam = terms.sum(axis=1)
-        lam[lam < UNDERFLOW_FLOOR] = 0.0
-        return lam
+        return terms.sum(axis=1)
 
     def eigenvalue(self, n: int) -> float:
         return float(self.eigenvalues(_as_int(n, "eigenvalue index") + 1)[-1])
-
-    def underflow_index(self, n_eigen: int) -> int | None:
-        """Smallest index below n_eigen whose eigenvalue clamps to zero."""
-        lam = self.eigenvalues(n_eigen)
-        zero = np.nonzero(lam == 0.0)[0]
-        return int(zero[0]) if len(zero) else None
 
     def trace(self) -> float:
         """Exact closed-form trace."""
@@ -126,7 +112,7 @@ class BergmanSpectrum:
         B the outer radius, sum to lambda_n / B**k per index, so the
         normalizers stay finite where lambda_n underflows.
         """
-        a, b = np.array(self.region.intervals, dtype=float).T
+        a, b = self._a, self._b
         k = 2.0 * idx[:, None] + 2.0
         with np.errstate(divide="ignore"):
             log_rho = k * np.log(a / b)  # -inf on a disc
@@ -141,15 +127,22 @@ class BergmanSpectrum:
         return table, cum, log_inv
 
     def feature_matrix(self, indices, z) -> np.ndarray:
-        """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))); no membership checks.
+        """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))) for z_i in the closed region.
 
-        The sampler's expression and normalizers, finite wherever it draws;
-        at z = 0 only phi_0 is nonzero.
+        The sampler's expression and normalizers; at z = 0 only phi_0 is
+        nonzero.  An index that is not a non-negative integer, or a point
+        that is not a finite complex number in the region, raises DomainError.
         """
-        indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if np.any(indices < 0):
-            raise DomainError("eigenfunction indices must be non-negative")
+        indices = np.array(
+            [_as_int(n, "eigenfunction index") for n in np.ravel(indices).tolist()], dtype=int
+        )
+        points = [_as_point(p) for p in np.ravel(z).tolist()]
+        for p in points:
+            if not self.region.contains_point(p):
+                raise DomainError(
+                    f"point {p!r} lies outside the closed region {self.region.literal()}"
+                )
+        z = np.array(points, dtype=complex)
         log_inv = self._mixture(indices)[2]
         zero = z == 0
         feats = np.empty((z.size, indices.size), dtype=complex)
@@ -159,31 +152,15 @@ class BergmanSpectrum:
 
     def eigenfunction(self, n: int, x) -> complex:
         """phi_n(x) = x**n / sqrt(nu_n) for x in the closed region."""
-        n = _as_int(n, "eigenvalue index")
-        x = _as_point(x)
-        if not self.region.contains_point(x):
-            raise DomainError(
-                f"point {x!r} lies outside the closed region {self.region.literal()}"
-            )
-        return complex(self.feature_matrix(np.array([n]), np.array([x]))[0, 0])
+        return complex(self.feature_matrix([_as_int(n, "eigenvalue index")], [_as_point(x)])[0, 0])
 
     # -- kernel sums ---------------------------------------------------------
 
     def truncated_kernel(self, n_eigen: int, x, y) -> complex:
         """Partial spectral sum  sum_{n < n_eigen} lambda_n phi_n(x) conj(phi_n(y))."""
         n_eigen = _as_int(n_eigen, "n_eigen", 1)
-        x = _as_point(x)
-        y = _as_point(y)
-        for p in (x, y):
-            if not self.region.contains_point(p):
-                raise DomainError(
-                    f"point {p!r} lies outside the closed region {self.region.literal()}"
-                )
-        idx = np.arange(n_eigen)
-        lam = self.eigenvalues(n_eigen)
-        fx = self.feature_matrix(idx, np.array([x]))[0]
-        fy = self.feature_matrix(idx, np.array([y]))[0]
-        return complex(np.sum(lam * fx * fy.conjugate()))
+        fx, fy = self.feature_matrix(np.arange(n_eigen), [_as_point(x), _as_point(y)])
+        return complex(np.sum(self.eigenvalues(n_eigen) * fx * fy.conjugate()))
 
 
 class GinibreSpectrum:

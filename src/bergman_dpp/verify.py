@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
-from .errors import DomainError, _as_int, _as_real
+from .errors import DomainError, _as_int, _as_pair, _as_real
 from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
 from .spectral import BergmanSpectrum
 from .streams import PHASE_BERNOULLI, make_rng
@@ -28,7 +28,6 @@ from .streams import PHASE_BERNOULLI, make_rng
 __all__ = [
     "CountDistribution",
     "count_pmf",
-    "count_quantiles",
     "CountStats",
     "mc_count_stats",
     "GofReport",
@@ -37,12 +36,16 @@ __all__ = [
     "ks_statistic",
     "ks_critical_value",
     "chernoff_consistency",
-    "AuditResult",
     "bound_audit",
 ]
 
 _RENORM_EVERY = 4096
 _SUM_GUARD = 1e-9
+# the grid bound_audit covers: radii, betas, Chernoff truncation and fractions
+_AUDIT_RADII = (0.5, 0.7, 0.9, 0.99)
+_AUDIT_BETAS = (1.0, 2.0, 3.0, 5.0)
+_AUDIT_N = 50
+_AUDIT_CS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 class CountDistribution:
@@ -132,11 +135,6 @@ def count_pmf(eigenvalues) -> CountDistribution:
         raise ArithmeticError(f"count pmf mass drifted to {s}")
     pmf /= s
     return CountDistribution(pmf)
-
-
-def count_quantiles(dist: CountDistribution, probs) -> list[int]:
-    """Smallest k with P(count <= k) >= p, for each level p."""
-    return [dist.quantile(p) for p in np.atleast_1d(np.asarray(probs, dtype=float))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +278,9 @@ def intensity_profile_test(
         raise DomainError("configurations mix different truncation orders")
 
     cleaned: list[tuple[float, float]] = []
-    for r1, r2 in bins:
-        r1, r2 = float(r1), float(r2)
-        if not (0.0 <= r1 < r2):
+    for pair in bins:
+        r1, r2 = _as_pair(pair, "bin", 0, ends="[)")
+        if not r1 < r2:
             raise DomainError(f"bin ({r1}, {r2}) is not an increasing radius pair")
         if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
             raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
@@ -362,8 +360,8 @@ def chernoff_consistency(dist: CountDistribution, cs) -> list[dict]:
     """Exact Poisson-binomial tails against both Chernoff bounds, per fraction."""
     m = dist.mean()
     rows = []
-    for c in np.atleast_1d(np.asarray(cs, dtype=float)):
-        c = float(c)
+    for c in np.ravel(cs):
+        c = _as_real(c, "Chernoff fraction c", 0, 1)
         exact_lower = dist.cdf(math.floor((1.0 - c) * m))
         exact_upper = dist.upper_tail(math.ceil((1.0 + c) * m))
         bound_lower = chernoff_lower(m, c)
@@ -382,59 +380,38 @@ def chernoff_consistency(dist: CountDistribution, cs) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    reports: tuple
-    results: tuple
-    all_passed: bool
+def bound_audit() -> tuple[dict, ...]:
+    """Dominance chain and Chernoff-vs-exact rows over one fixed grid.
 
-    def to_dict(self) -> dict:
-        return {
-            "results": [r for r in self.results],
-            "all_passed": self.all_passed,
-        }
-
-
-def bound_audit(
-    r_grid,
-    beta_grid,
-    chernoff_n: int = 50,
-    cs=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-) -> AuditResult:
-    """Dominance chain and Chernoff-vs-exact comparisons over a grid.
-
-    For each (R, beta) the chain  coincidence <= exact tail <= exponential
-    bound  is checked at N = ceil(beta N_R); for each R the exact count law
-    of the first chernoff_n eigenvalues is tested against both Chernoff
-    tails at every fraction in cs.  Empty grids yield an empty audit.
+    For each R in (0.5, 0.7, 0.9, 0.99) and beta in (1, 2, 3, 5) the chain
+    coincidence <= exact tail <= exponential bound  is checked at
+    N = ceil(beta N_R); for each R the exact count law of the first 50
+    eigenvalues is tested against both Chernoff tails at c = 0.1, ..., 0.9.
+    Each row is {name, values, verdict}.
     """
-    reports = []
-    results = []
-    for radius in r_grid:
-        for beta in beta_grid:
-            rep = build_bound_report(radius, beta=float(beta))
+    rows = []
+    for radius in _AUDIT_RADII:
+        for beta in _AUDIT_BETAS:
+            rep = build_bound_report(radius, beta=beta)
             ok = (
                 rep.coincidence_probability <= rep.coupling_tail + 1e-12
                 and rep.coupling_tail <= rep.wasserstein_bound + 1e-12
             )
-            reports.append(rep)
-            results.append(
+            rows.append(
                 {
                     "name": f"dominance:R={radius}:beta={beta}",
                     "values": rep.to_dict(),
                     "verdict": "pass" if ok else "fail",
                 }
             )
-    for radius in r_grid:
-        lam = BergmanSpectrum.disc(float(radius)).eigenvalues(chernoff_n)
-        rows = chernoff_consistency(count_pmf(lam), cs)
-        ok = all(r["ok"] for r in rows)
-        results.append(
+    for radius in _AUDIT_RADII:
+        lam = BergmanSpectrum.disc(radius).eigenvalues(_AUDIT_N)
+        table = chernoff_consistency(count_pmf(lam), _AUDIT_CS)
+        rows.append(
             {
-                "name": f"chernoff:R={radius}:N={chernoff_n}",
-                "values": {"rows": rows},
-                "verdict": "pass" if ok else "fail",
+                "name": f"chernoff:R={radius}:N={_AUDIT_N}",
+                "values": {"rows": table},
+                "verdict": "pass" if all(r["ok"] for r in table) else "fail",
             }
         )
-    all_passed = all(r["verdict"] == "pass" for r in results)
-    return AuditResult(reports=tuple(reports), results=tuple(results), all_passed=all_passed)
+    return tuple(rows)

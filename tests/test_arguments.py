@@ -1,8 +1,9 @@
 """One table over every public entry point that takes a count, an index, a
-seed or a bounded real.  Each is fed NaN, +-inf, None, a string, 1.5 where
-an integer is required, and the first value outside its range; each must
-raise the package's named error (never a bare TypeError, ValueError or
-OverflowError, and never truncate 1.5 to 1)."""
+seed, a bounded real, a point or a pair of reals.  Each is fed NaN, +-inf,
+None, a string, 1.5 where an integer is required, and the first value
+outside its range (a point outside the region, a pair of the wrong length);
+each must raise the package's named error (never a bare TypeError,
+ValueError or OverflowError, and never truncate 1.5 to 1)."""
 
 import math
 
@@ -18,12 +19,14 @@ from bergman_dpp import (
     FamilySpec,
     GeometricWeights,
     GinibreSpectrum,
+    RadialRegion,
     RegionError,
     SamplerConfig,
     annulus,
     bernoulli_phase,
     build_bound_report,
     check_properties,
+    chernoff_consistency,
     chernoff_lower,
     chernoff_upper,
     coincidence_probability,
@@ -35,12 +38,12 @@ from bergman_dpp import (
     disc,
     intensity_profile_test,
     ks_critical_value,
+    make_region,
     make_rng,
     mc_count_stats,
     min_radius_cdf,
     sample,
     sample_moduli,
-    sample_positions,
     sufficiency_margin,
     truncation_constants,
     wasserstein_bound,
@@ -51,6 +54,7 @@ NOT_REAL = (NAN, INF, -INF, None, "x")
 NOT_INT = NOT_REAL + (1.5,)
 
 SPEC = BergmanSpectrum.disc(0.9)
+HALF = BergmanSpectrum.disc(0.5)
 GIN = GinibreSpectrum(1.0)
 WEIGHTS = GeometricWeights(0.1, 0.5)
 CONFS = [sample(SPEC, SamplerConfig(n_eigen=5, seed=1), replica=r) for r in range(3)]
@@ -68,25 +72,19 @@ def _family(**kw):
 INT_CASES = [
     ("SamplerConfig.n_eigen", lambda v: SamplerConfig(n_eigen=v), 3, (0,), DomainError),
     ("SamplerConfig.seed", lambda v: SamplerConfig(beta=1.0, seed=v), 7, (-1, 1 << 64), DomainError),
-    ("SamplerConfig.max_rejections", lambda v: SamplerConfig(beta=1.0, max_rejections=v), 9, (0,), DomainError),
     ("ActiveIndexSet.indices", lambda v: ActiveIndexSet((v,), 8), 2, (-1, 8), DomainError),
     ("ActiveIndexSet.n_eigen", lambda v: ActiveIndexSet((), v), 3, (-1,), DomainError),
     ("make_rng.seed", lambda v: make_rng(v), 3, (-1, 1 << 64), DomainError),
     ("make_rng.replica", lambda v: make_rng(0, v), 3, (-1, 1 << 56), DomainError),
     ("make_rng.phase", lambda v: make_rng(0, 0, v), 3, (-1, 256), DomainError),
     ("sample.replica", lambda v: sample(SPEC, SamplerConfig(n_eigen=3), v), 1, (-1, 1 << 56), DomainError),
-    (
-        "sample_positions.max_rejections",
-        lambda v: sample_positions(SPEC, ActiveIndexSet((0,), 1), make_rng(0), v),
-        5, (0,), DomainError,
-    ),
     ("bernoulli_phase.n_eigen", lambda v: bernoulli_phase(SPEC, v, make_rng(0)), 4, (0,), DomainError),
     ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,), DomainError),
     ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,), DomainError),
     ("FamilySpec.count", lambda v: _family(count=v), 4, (0,), RegionError),
     ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,), DomainError),
     ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,), DomainError),
-    ("BergmanSpectrum.underflow_index", SPEC.underflow_index, 4, (-1,), DomainError),
+    ("BergmanSpectrum.feature_matrix.indices", lambda v: SPEC.feature_matrix([0, v], 0.1), 4, (-1,), DomainError),
     ("BergmanSpectrum.eigenfunction", lambda v: SPEC.eigenfunction(v, 0.1), 4, (-1,), DomainError),
     ("BergmanSpectrum.truncated_kernel", lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,), DomainError),
     ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,), DomainError),
@@ -112,7 +110,6 @@ REAL_CASES = [
     ("truncation_constants.radius", truncation_constants, 0.5, (0.0, 1.0), DomainError),
     ("coupling_tail.radius", lambda v: coupling_tail(v, 3), 0.5, (0.0, 1.0), DomainError),
     ("coincidence_probability.radius", lambda v: coincidence_probability(v, 3), 0.5, (0.0, 1.0), DomainError),
-    ("coincidence_probability.tol", lambda v: coincidence_probability(0.9, 3, v), 1e-6, (0.0, 1.0), DomainError),
     ("build_bound_report.radius", lambda v: build_bound_report(v, beta=1.0), 0.5, (0.0, 1.0), DomainError),
     ("chernoff_lower.mean", lambda v: chernoff_lower(v, 0.5), 3.0, (0.0,), DomainError),
     ("chernoff_lower.c", lambda v: chernoff_lower(3.0, v), 0.5, (0.0, 1.0), DomainError),
@@ -139,6 +136,17 @@ REAL_CASES = [
     ("FamilySpec.b0", lambda v: _family(b0=v), 0.3, (0.2, 1.0), RegionError),
     ("FamilySpec.theta", lambda v: _family(rule="offset", theta=v), 0.5, (0.0, 1.0), RegionError),
     ("CountDistribution.quantile", DIST.quantile, 0.5, (-_ABOVE_ZERO, _ABOVE_ONE), DomainError),
+    ("chernoff_consistency.cs", lambda v: chernoff_consistency(DIST, [0.2, v]), 0.5, ("0.5", 0.0, 1.0), DomainError),
+    (
+        "intensity_profile_test.bins",
+        lambda v: intensity_profile_test(CONFS, SPEC, [(0.0, v)]),
+        0.5, ("0.5", b"0.5", 0.0, 0.95), DomainError,
+    ),
+    ("make_region.endpoint", lambda v: make_region([(0.1, v)]), 0.2, ("0.2", b"0.2", 0.1), RegionError),
+    ("RadialRegion.endpoint", lambda v: RadialRegion(((0.1, v),)), 0.2, ("0.2", b"0.2", 0.1), RegionError),
+    # points must be finite complex numbers in the closed region
+    ("BergmanSpectrum.feature_matrix.z", lambda v: SPEC.feature_matrix([1], [0.1, v]), 0.3, (0.95, 0.1 + 0.9j), DomainError),
+    ("BergmanSpectrum.feature_matrix.far_z", lambda v: HALF.feature_matrix([1500], v), 0.4, (0.9,), DomainError),
     ("min_radius_cdf.x", lambda v: min_radius_cdf(3, v), 0.5, (), DomainError),
 ]
 
@@ -162,6 +170,23 @@ def test_valid_value_accepted(call, value):
 def test_bad_value_raises_named_error(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+BAD_PAIRS = (None, 0.5, (0.1,), (0.1, 0.2, 0.3), ("0.1", "0.2"), ("0.5", b"0.6"))
+PAIR_CASES = [
+    ("make_region", lambda p: make_region([p]), RegionError),
+    ("RadialRegion", lambda p: RadialRegion((p,)), RegionError),
+    ("intensity_profile_test.bins", lambda p: intensity_profile_test(CONFS, SPEC, [p]), DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "call, pair, error",
+    [pytest.param(c, p, e, id=f"{n}-{p!r}") for n, c, e in PAIR_CASES for p in BAD_PAIRS],
+)
+def test_bad_pair_raises_named_error(call, pair, error):
+    with pytest.raises(error):
+        call(pair)
 
 
 def test_integral_floats_become_ints():

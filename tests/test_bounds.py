@@ -125,19 +125,11 @@ def test_coincidence_against_direct_product():
     assert coincidence_probability(r, n) == pytest.approx(direct, rel=1e-10)
 
 
-def test_coincidence_tol_refinement():
-    loose = coincidence_probability(0.9, 9, tol=1e-3)
-    tight = coincidence_probability(0.9, 9, tol=1e-14)
-    assert abs(loose - tight) < 1e-3
-
-
 def test_coincidence_domain():
     with pytest.raises(DomainError):
         coincidence_probability(1.0, 5)
     with pytest.raises(DomainError):
         coincidence_probability(0.9, -1)
-    with pytest.raises(DomainError):
-        coincidence_probability(0.9, 5, tol=0.0)
 
 
 # -----------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def test_sample_conflicting_truncation(capsys):
     assert rc == 1
 
 
+def test_sample_has_no_rejection_budget_flag(capsys):
+    # the budget is a fixed safety net inside the sampler, not a setting
+    rc, _, err = run(capsys, "sample", "--region", "disc:0.8", "--max-rejections", "5")
+    assert rc == 1
+    assert "unrecognized arguments: --max-rejections" in err
+
+
 def test_sample_to_file(tmp_path, capsys):
     target = tmp_path / "points.csv"
     rc, out, _ = run(

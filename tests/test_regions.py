@@ -225,13 +225,6 @@ def test_family_explicit_weights_build():
     )
 
 
-def test_endpoint_strings(midpoint_family):
-    build = construct_family(midpoint_family)
-    strings = build.endpoint_strings(digits=30)
-    assert len(strings) == 50
-    assert strings[0][0].startswith("0.2")
-
-
 # -----------------------------------------------------------------------------
 # qualitative properties
 # -----------------------------------------------------------------------------

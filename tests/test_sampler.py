@@ -28,6 +28,7 @@ from bergman_dpp import (
     sample_moduli,
     sample_positions,
 )
+from bergman_dpp import sampler
 from bergman_dpp.sampler import SAMPLER_VERSION
 from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE
 from bergman_dpp.verify import ks_critical_value, ks_statistic
@@ -49,8 +50,6 @@ def test_config_exactly_one_mode():
         SamplerConfig(n_eigen=0)
     with pytest.raises(DomainError):
         SamplerConfig(beta=1.0, seed=-1)
-    with pytest.raises(DomainError):
-        SamplerConfig(beta=1.0, max_rejections=0)
 
 
 def test_default_truncation(disc09):
@@ -218,13 +217,14 @@ def test_angle_uniformity(disc08):
     assert stat < ks_critical_value(reps, 1e-3)
 
 
-def test_rejection_budget_error(disc09):
+def test_rejection_budget_error(disc09, monkeypatch):
     # with 30 active indices the first chunk of point i holds ceil(30 / (30 - i))
     # proposals, each accepted with probability (30 - i) / 30; a budget of one
     # proposal ends the run at the first chunk without an acceptance
+    monkeypatch.setattr(sampler, "_MAX_REJECTIONS", 1)
     active = ActiveIndexSet(indices=tuple(range(30)), n_eigen=30)
     with pytest.raises(RejectionBudgetError):
-        sample_positions(disc09, active, make_rng(0), max_rejections=1)
+        sample_positions(disc09, active, make_rng(0))
 
 
 def test_single_index_accepts_first_proposal(disc09, annulus59):

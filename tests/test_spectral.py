@@ -170,15 +170,14 @@ def test_eigenvalues_decreasing_for_disc():
     assert np.all(np.diff(lam) < 0.0)
 
 
-def test_underflow_clamp():
-    s = BergmanSpectrum.disc(0.5)
-    # 0.25^(n+1) < 1e-300 once n+1 > 498
-    lam = s.eigenvalues(520)
-    idx = s.underflow_index(520)
-    assert idx is not None
-    assert lam[idx] == 0.0
-    assert np.all(lam[:idx] > 0.0)
-    assert s.underflow_index(10) is None
+def test_eigenvalues_exact_down_to_underflow():
+    # lambda_n = 0.5^(2n+2) is a power of two, exact in float64 down to the
+    # smallest subnormal 2^-1074 at n = 536; below that it rounds to 0
+    lam = BergmanSpectrum.disc(0.5).eigenvalues(540)
+    for n in range(540):
+        assert lam[n] == 0.5 ** (2 * n + 2)
+    assert lam[536] == 2.0**-1074
+    assert lam[537] == 0.0
 
 
 def test_trace_equals_eigenvalue_series(disc09):
@@ -241,7 +240,7 @@ def test_feature_matrix_scalar_and_empty(disc08):
 
 
 def test_feature_matrix_past_eigenvalue_underflow():
-    # lambda_n of disc(0.5) clamps to 0 from n = 498, but phi_n stays finite
+    # lambda_n of disc(0.5) underflows to 0 from n = 537, but phi_n stays finite
     s = BergmanSpectrum.disc(0.5)
     idx = np.array([0, 600, 1000])
     zs = np.array([0.3, 0.4, 0.25 - 0.3j])
@@ -273,7 +272,10 @@ def test_feature_matrix_is_sampler_expression():
     for literal in ("disc:0.5", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"):
         s = BergmanSpectrum(parse_region_literal(literal))
         idx = np.array([0, 3, 40, 600, 1000])
-        zs = s.region.outer_radius * np.sqrt(rng.random(7)) * np.exp(2j * math.pi * rng.random(7))
+        # a random interval of the region, then uniform in area inside it
+        iv = np.array(s.region.intervals)[rng.integers(len(s.region.intervals), size=7)]
+        r = np.sqrt(iv[:, 0] ** 2 + rng.random(7) * (iv[:, 1] ** 2 - iv[:, 0] ** 2))
+        zs = r * np.exp(2j * math.pi * rng.random(7))
         log_inv = s._mixture(idx)[2]
         expected = np.exp(np.multiply.outer(np.log(zs), idx) + log_inv)
         assert np.array_equal(s.feature_matrix(idx, zs), expected)

@@ -19,7 +19,6 @@ from bergman_dpp import (
     chernoff_upper,
     count_gof,
     count_pmf,
-    count_quantiles,
     coupling_tail,
     intensity_profile_test,
     ks_critical_value,
@@ -85,7 +84,7 @@ def test_count_distribution_hand_case():
     assert d.quantile(0.0) == 0
     with pytest.raises(DomainError):
         d.quantile(1.5)
-    assert count_quantiles(d, [0.1, 0.9]) == [0, 2]
+    assert (d.quantile(0.1), d.quantile(0.9)) == (0, 2)
 
 
 # -----------------------------------------------------------------------------
@@ -187,9 +186,9 @@ def test_mc_count_stats_deterministic(disc09):
 @pytest.mark.parametrize("radius, n_eigen, reps", [(0.9, 22, 2000), (0.5, 600, 300)])
 def test_mc_count_stats_replays_bernoulli_phase(radius, n_eigen, reps):
     # one replica's count is the size of bernoulli_phase on that replica's
-    # stream; on disc:0.5 the eigenvalues clamp to 0 from index 498
+    # stream; on disc:0.5 the eigenvalues underflow to 0 from index 537
     spectrum = BergmanSpectrum.disc(radius)
-    assert np.count_nonzero(spectrum.eigenvalues(n_eigen)) == min(n_eigen, 498)
+    assert np.count_nonzero(spectrum.eigenvalues(n_eigen)) == min(n_eigen, 537)
     cfg = SamplerConfig(n_eigen=n_eigen, seed=17)
     stats = mc_count_stats(spectrum, cfg, reps)
     counts = np.array(
@@ -394,28 +393,22 @@ def test_chernoff_consistency_rows(disc09):
 # full audit
 # -----------------------------------------------------------------------------
 def test_bound_audit_grid():
-    audit = bound_audit((0.5, 0.9), (1.0, 2.0), chernoff_n=30)
-    assert audit.all_passed
-    names = [r["name"] for r in audit.results]
-    assert "dominance:R=0.5:beta=1.0" in names
-    assert "chernoff:R=0.9:N=30" in names
-    assert len(audit.reports) == 4
-    for rep in audit.reports:
-        assert rep.coincidence_probability <= rep.coupling_tail + 1e-12
-        assert rep.coupling_tail <= rep.wasserstein_bound + 1e-12
-    d = audit.to_dict()
-    assert d["all_passed"] is True and len(d["results"]) == len(audit.results)
+    rows = bound_audit()
+    assert all(r["verdict"] == "pass" for r in rows)
+    names = [r["name"] for r in rows]
+    assert len(names) == 16 + 4
+    assert names[0] == "dominance:R=0.5:beta=1.0"
+    assert names[-1] == "chernoff:R=0.99:N=50"
+    for row in rows[:16]:
+        v = row["values"]
+        assert v["coincidence_probability"] <= v["coupling_tail"] + 1e-12
+        assert v["coupling_tail"] <= v["wasserstein_bound"] + 1e-12
+    for row in rows[16:]:
+        assert [c["c"] for c in row["values"]["rows"]] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def test_bound_audit_spot_dominance():
     # the (0.9, 2) cell reproduces the standalone bound values
-    audit = bound_audit((0.9,), (2.0,), chernoff_n=10)
-    rep = audit.reports[0]
-    assert rep.coupling_tail == pytest.approx(coupling_tail(0.9, 9), rel=1e-14)
-    assert rep.wasserstein_bound == pytest.approx(wasserstein_bound(0.9, 2.0), rel=1e-14)
-
-
-def test_bound_audit_empty():
-    audit = bound_audit((), ())
-    assert audit.all_passed
-    assert audit.results == ()
+    (values,) = [r["values"] for r in bound_audit() if r["name"] == "dominance:R=0.9:beta=2.0"]
+    assert values["coupling_tail"] == pytest.approx(coupling_tail(0.9, 9), rel=1e-14)
+    assert values["wasserstein_bound"] == pytest.approx(wasserstein_bound(0.9, 2.0), rel=1e-14)
