@@ -33,7 +33,7 @@ from .sampler import (
     sample_positions,
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
-from .streams import PHASE_MODULI, PHASE_SAMPLE, make_rng
+from .streams import PHASE_MODULI, PHASE_SAMPLE, _replica_rngs, make_rng
 from .verify import (
     GofReport,
     bound_audit,
@@ -210,11 +210,10 @@ def _cmd_verify(args) -> int:
     ks_reps = max(200, args.reps // 4)
     spec08 = BergmanSpectrum.disc(0.8)
     active = ActiveIndexSet(indices=(0,), n_eigen=1)
-    radii = []
-    for r in range(ks_reps):
-        rng = make_rng(args.seed, r, PHASE_SAMPLE)
-        conf = sample_positions(spec08, active, rng)
-        radii.append(abs(conf.points[0]))
+    radii = [
+        abs(sample_positions(spec08, active, rng).points[0])
+        for rng in _replica_rngs(args.seed, range(ks_reps), PHASE_SAMPLE)
+    ]
     stat = ks_statistic(radii, lambda x: (x / 0.8) ** 2)
     thr = ks_critical_value(ks_reps)
     results.append(

@@ -1,11 +1,14 @@
 """Exception types shared across the package, and the one rule by which
 arguments are checked: a count, index or seed must be a finite real equal
 to an integer in range, a bounded real a finite real inside its interval,
-an interval or bin a pair of such reals; anything else raises the named
-error instead of escaping as a bare TypeError or OverflowError or being
-truncated silently."""
+an interval or bin a pair of such reals, an array of reals a rectangular
+numeric array whose every element passes as a bounded real; anything else
+raises the named error instead of escaping as a bare TypeError,
+ValueError or OverflowError or being truncated silently."""
 
 import math
+
+import numpy as np
 
 __all__ = [
     "BergmanDPPError", "DomainError", "RegionError",
@@ -80,3 +83,33 @@ def _as_pair(value, name: str, low=-math.inf, error=DomainError, ends="()"):
     except (TypeError, ValueError):
         raise error(f"{name} {value!r} is not a pair of reals") from None
     return tuple(_as_real(x, f"{name} endpoint", low, math.inf, error, ends) for x in (a, b))
+
+
+def _as_reals(values, name: str, low=0, high=math.inf, error=DomainError, ends="()"):
+    """values (a real or an array of reals) as a float array, every element
+    checked as _as_real checks one, else error; arrays of strings or objects
+    and ragged sequences are not arrays of reals."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 0:
+        return np.array(_as_real(values, name, low, high, error, ends))
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be a real or an array of reals, got {values!r}")
+    arr = arr.astype(float)
+    above = low <= arr if ends[0] == "[" else low < arr
+    below = arr <= high if ends[1] == "]" else arr < high
+    bad = ~(above & below)
+    if bad.any():
+        _as_real(arr[bad].flat[0], name, low, high, error, ends)
+    return arr
+
+
+def _elements(values, name: str, error=DomainError) -> list:
+    """The elements of a scalar or a rectangular nested sequence as a flat
+    list, each left for the caller's rule; a ragged sequence raises error."""
+    try:
+        return np.ravel(values).tolist()
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a scalar or a rectangular array, got {values!r}") from None

@@ -34,6 +34,7 @@ from .errors import (
     RejectionBudgetError,
     _as_int,
     _as_real,
+    _as_reals,
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, make_rng
@@ -235,7 +236,10 @@ def sample_positions(
             log_z = np.log(r) + (2j * math.pi) * u[:, 2]
             feats = np.exp(np.multiply.outer(log_z, idx) + log_inv)
             norm_sq = np.square(feats.view(float)).sum(axis=1)
-            resid = norm_sq - np.square((feats @ conj_basis.T).view(float)).sum(axis=1)
+            if i:
+                resid = norm_sq - np.square((feats @ conj_basis.T).view(float)).sum(axis=1)
+            else:
+                resid = norm_sq  # the basis is empty, and x - 0.0 == x
             # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as
             # NaN; a proposal where every phi_n underflows counts as a rejection
             ratio = resid / np.where(norm_sq > 0.0, norm_sq, 1.0)
@@ -256,7 +260,8 @@ def sample_positions(
         j = int(hits[0])
         rejections.append(consumed + j)
         v = feats[j]
-        for _ in range(2):  # CGS2: classical Gram-Schmidt with one re-pass
+        # CGS2: classical Gram-Schmidt with one re-pass; nothing to remove at i = 0
+        for _ in range(2 if i else 0):
             v = v - (conj_basis @ v) @ basis[:i]
         nrm = math.sqrt(np.vdot(v, v).real)
         if nrm < GS_NORM_FLOOR:
@@ -301,16 +306,23 @@ def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(n) ** (1.0 / (2.0 * k))
 
 
-def min_radius_cdf(n: int, x: float) -> float:
-    """P(min of the first n moduli <= x) = 1 - prod_{k=1}^n (1 - x**(2k))."""
-    n = _as_int(n, "count", 1)
-    x = _as_real(x, "x", -math.inf)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if n == 1:
-        return x * x
-    k = np.arange(1, n + 1, dtype=float)
-    return -math.expm1(float(np.log1p(-(x ** (2.0 * k))).sum()))
+def min_radius_cdf(n: int, x):
+    """P(min of the first n moduli <= x) = 1 - prod_{k=1}^n (1 - x**(2k)).
 
+    Elementwise over a real or an array of reals: a float for a real, an
+    array of x's shape otherwise, each entry the same bits as the call on
+    that real alone.
+    """
+    n = _as_int(n, "count", 1)
+    xs = _as_reals(x, "x", -math.inf)
+    out = np.where(xs >= 1.0, 1.0, 0.0)
+    inside = (0.0 < xs) & (xs < 1.0)
+    v = xs[inside]
+    if n == 1:
+        out[inside] = v * v
+    else:
+        k = np.arange(1, n + 1, dtype=float)
+        sums = np.log1p(-(v[:, None] ** (2.0 * k))).sum(axis=1)
+        # math.expm1 per value: np.expm1 rounds differently on some hosts
+        out[inside] = [-math.expm1(s) for s in sums.tolist()]
+    return float(out) if out.ndim == 0 else out

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, _as_int, _as_real
+from .errors import DomainError, _as_int, _as_real, _elements
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
     "BergmanSpectrum",
     "GinibreSpectrum",
 ]
+
+# indices and truncation orders are int64 array entries: below 2**63
+_INDEX_END = 1 << 63
 
 
 def _as_point(z) -> complex:
@@ -66,6 +69,8 @@ class BergmanSpectrum:
         self.region = region
         self._a = np.array([a for a, _ in region.intervals])
         self._b = np.array([b for _, b in region.intervals])
+        with np.errstate(divide="ignore"):
+            self._log_ratio = np.log(self._a / self._b)  # -inf on a disc
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -82,7 +87,7 @@ class BergmanSpectrum:
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
         """Eigenvalues for indices 0 .. n_eigen-1 as a float array."""
-        n_eigen = _as_int(n_eigen, "n_eigen")
+        n_eigen = _as_int(n_eigen, "n_eigen", 0, _INDEX_END)
         e = (2.0 * np.arange(n_eigen) + 2.0)[:, None]
         bp = self._b[None, :] ** e
         ap = self._a[None, :] ** e
@@ -96,7 +101,7 @@ class BergmanSpectrum:
         return terms.sum(axis=1)
 
     def eigenvalue(self, n: int) -> float:
-        return float(self.eigenvalues(_as_int(n, "eigenvalue index") + 1)[-1])
+        return float(self.eigenvalues(_as_int(n, "eigenvalue index", 0, _INDEX_END) + 1)[-1])
 
     def trace(self) -> float:
         """Exact closed-form trace."""
@@ -112,19 +117,22 @@ class BergmanSpectrum:
         B the outer radius, sum to lambda_n / B**k per index, so the
         normalizers stay finite where lambda_n underflows.
         """
-        a, b = self._a, self._b
+        b = self._b
         k = 2.0 * idx[:, None] + 2.0
-        with np.errstate(divide="ignore"):
-            log_rho = k * np.log(a / b)  # -inf on a disc
+        log_rho = k * self._log_ratio
         gap = -np.expm1(log_rho)
-        table = np.stack(np.broadcast_arrays(b, np.exp(log_rho), gap, 1 / k), -1).reshape(-1, 4)
+        table = np.empty((k.size, b.size, 4))
+        table[..., 0] = b
+        table[..., 1] = np.exp(log_rho)
+        table[..., 2] = gap
+        table[..., 3] = 1 / k
         log_outer = math.log(self.region.outer_radius)
         mass = np.exp(k * (np.log(b) - log_outer)) * gap
         row = mass.sum(axis=1)
         cum = np.cumsum(mass / row[:, None])
         # log sqrt((n + 1) / (pi lambda_n)) with lambda_n = B**k * row
         log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
-        return table, cum, log_inv
+        return table.reshape(-1, 4), cum, log_inv
 
     def feature_matrix(self, indices, z) -> np.ndarray:
         """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))) for z_i in the closed region.
@@ -134,9 +142,13 @@ class BergmanSpectrum:
         that is not a finite complex number in the region, raises DomainError.
         """
         indices = np.array(
-            [_as_int(n, "eigenfunction index") for n in np.ravel(indices).tolist()], dtype=int
+            [
+                _as_int(n, "eigenfunction index", 0, _INDEX_END)
+                for n in _elements(indices, "eigenfunction indices")
+            ],
+            dtype=int,
         )
-        points = [_as_point(p) for p in np.ravel(z).tolist()]
+        points = [_as_point(p) for p in _elements(z, "points")]
         for p in points:
             if not self.region.contains_point(p):
                 raise DomainError(
@@ -152,13 +164,14 @@ class BergmanSpectrum:
 
     def eigenfunction(self, n: int, x) -> complex:
         """phi_n(x) = x**n / sqrt(nu_n) for x in the closed region."""
-        return complex(self.feature_matrix([_as_int(n, "eigenvalue index")], [_as_point(x)])[0, 0])
+        n = _as_int(n, "eigenvalue index", 0, _INDEX_END)
+        return complex(self.feature_matrix([n], [_as_point(x)])[0, 0])
 
     # -- kernel sums ---------------------------------------------------------
 
     def truncated_kernel(self, n_eigen: int, x, y) -> complex:
         """Partial spectral sum  sum_{n < n_eigen} lambda_n phi_n(x) conj(phi_n(y))."""
-        n_eigen = _as_int(n_eigen, "n_eigen", 1)
+        n_eigen = _as_int(n_eigen, "n_eigen", 1, _INDEX_END)
         fx, fy = self.feature_matrix(np.arange(n_eigen), [_as_point(x), _as_point(y)])
         return complex(np.sum(self.eigenvalues(n_eigen) * fx * fy.conjugate()))
 
@@ -177,10 +190,12 @@ class GinibreSpectrum:
         return f"GinibreSpectrum({self.radius!r})"
 
     def eigenvalue(self, n: int) -> float:
-        return float(gammainc(_as_int(n, "eigenvalue index") + 1, self.radius * self.radius))
+        n = _as_int(n, "eigenvalue index", 0, _INDEX_END)
+        return float(gammainc(n + 1, self.radius * self.radius))
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
-        return gammainc(np.arange(1, _as_int(n_eigen, "n_eigen") + 1), self.radius * self.radius)
+        n_eigen = _as_int(n_eigen, "n_eigen", 0, _INDEX_END)
+        return gammainc(np.arange(1, n_eigen + 1), self.radius * self.radius)
 
     def trace(self) -> float:
         """Exact trace R**2.

@@ -52,6 +52,8 @@ from bergman_dpp import (
 NAN, INF = float("nan"), float("inf")
 NOT_REAL = (NAN, INF, -INF, None, "x")
 NOT_INT = NOT_REAL + (1.5,)
+# eigenfunction indices and truncation orders are int64 array entries
+BEYOND_INT64 = (1 << 63, 1 << 64)
 
 SPEC = BergmanSpectrum.disc(0.9)
 HALF = BergmanSpectrum.disc(0.5)
@@ -82,13 +84,19 @@ INT_CASES = [
     ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,), DomainError),
     ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,), DomainError),
     ("FamilySpec.count", lambda v: _family(count=v), 4, (0,), RegionError),
-    ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,), DomainError),
-    ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,), DomainError),
-    ("BergmanSpectrum.feature_matrix.indices", lambda v: SPEC.feature_matrix([0, v], 0.1), 4, (-1,), DomainError),
-    ("BergmanSpectrum.eigenfunction", lambda v: SPEC.eigenfunction(v, 0.1), 4, (-1,), DomainError),
-    ("BergmanSpectrum.truncated_kernel", lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,), DomainError),
-    ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,), DomainError),
-    ("GinibreSpectrum.eigenvalue", GIN.eigenvalue, 4, (-1,), DomainError),
+    ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,) + BEYOND_INT64, DomainError),
+    ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
+    (
+        "BergmanSpectrum.feature_matrix.indices",
+        lambda v: SPEC.feature_matrix([0, v], 0.1), 4, (-1,) + BEYOND_INT64, DomainError,
+    ),
+    ("BergmanSpectrum.eigenfunction", lambda v: SPEC.eigenfunction(v, 0.1), 4, (-1,) + BEYOND_INT64, DomainError),
+    (
+        "BergmanSpectrum.truncated_kernel",
+        lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,) + BEYOND_INT64, DomainError,
+    ),
+    ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,) + BEYOND_INT64, DomainError),
+    ("GinibreSpectrum.eigenvalue", GIN.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
     ("coupling_tail.n_eigen", lambda v: coupling_tail(0.9, v), 4, (-1,), DomainError),
     ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,), DomainError),
     ("sufficiency_margin.n_eigen", lambda v: sufficiency_margin(0.5, v), 4, (0,), DomainError),
@@ -147,7 +155,13 @@ REAL_CASES = [
     # points must be finite complex numbers in the closed region
     ("BergmanSpectrum.feature_matrix.z", lambda v: SPEC.feature_matrix([1], [0.1, v]), 0.3, (0.95, 0.1 + 0.9j), DomainError),
     ("BergmanSpectrum.feature_matrix.far_z", lambda v: HALF.feature_matrix([1500], v), 0.4, (0.9,), DomainError),
-    ("min_radius_cdf.x", lambda v: min_radius_cdf(3, v), 0.5, (), DomainError),
+    # x is a real or an array of reals, every element checked
+    (
+        "min_radius_cdf.x",
+        lambda v: min_radius_cdf(3, v), 0.5,
+        ([0.5, NAN], np.array([0.2, INF]), ["0.5"], np.array([0.5], dtype=object), [[0.1], 0.2]),
+        DomainError,
+    ),
 ]
 
 
@@ -170,6 +184,20 @@ def test_valid_value_accepted(call, value):
 def test_bad_value_raises_named_error(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+# a ragged sequence is not an array of points, indices or reals
+RAGGED_CASES = [
+    ("BergmanSpectrum.feature_matrix.z", lambda: SPEC.feature_matrix([0], [[0.1, 0.2], 0.3])),
+    ("BergmanSpectrum.feature_matrix.indices", lambda: SPEC.feature_matrix([[0, 1], 2], 0.1)),
+    ("chernoff_consistency.cs", lambda: chernoff_consistency(DIST, [[0.1], 0.2])),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=n) for n, c in RAGGED_CASES])
+def test_ragged_sequence_raises_named_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 BAD_PAIRS = (None, 0.5, (0.1,), (0.1, 0.2, 0.3), ("0.1", "0.2"), ("0.5", b"0.6"))

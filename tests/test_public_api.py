@@ -57,3 +57,18 @@ def test_integer_rule_only_in_errors():
         if idiom.search(line)
     ]
     assert not copies, f"integer checks outside errors.py: {copies}"
+
+
+def test_generators_built_only_in_streams():
+    # streams.py is the one place that knows the Philox key layout; a
+    # generator built elsewhere would sidestep it
+    built = re.compile(r"\b(Philox|Generator|default_rng)\s*\(")
+    package = Path(bergman_dpp.__file__).parent
+    builders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "streams.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if built.search(line)
+    ]
+    assert not builders, f"random generators built outside streams.py: {builders}"

@@ -30,7 +30,7 @@ from bergman_dpp import (
 )
 from bergman_dpp import sampler
 from bergman_dpp.sampler import SAMPLER_VERSION
-from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE
+from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, _replica_rngs
 from bergman_dpp.verify import ks_critical_value, ks_statistic
 
 
@@ -264,6 +264,37 @@ def test_massless_proposal_is_rejected(disc09):
     assert all(0.0 < abs(z) <= 0.9 for z in conf.points)
 
 
+def _patched_normalizers(monkeypatch, log_inv):
+    """Make every phi_n carry the normalizer exp(log_inv) instead of its own."""
+    mixture = BergmanSpectrum._mixture
+
+    def patched(self, idx):
+        table, cum, _ = mixture(self, idx)
+        return table, cum, np.full(len(idx), log_inv)
+
+    monkeypatch.setattr(BergmanSpectrum, "_mixture", patched)
+
+
+@pytest.mark.parametrize("log_inv", [math.inf, math.nan])
+def test_first_point_checks_envelope(disc09, monkeypatch, log_inv):
+    # the first point runs no projection, but a non-finite ||phi_I||**2 still
+    # fails the acceptance-ratio test instead of being accepted
+    _patched_normalizers(monkeypatch, log_inv)
+    for indices in ((0,), (2, 5)):
+        active = ActiveIndexSet(indices=indices, n_eigen=6)
+        with pytest.raises(EnvelopeError), np.errstate(invalid="ignore", over="ignore"):
+            sample_positions(disc09, active, make_rng(1))
+
+
+def test_first_point_checks_norm_floor(disc09, monkeypatch):
+    # phi_0 scaled to norm 1e-13 < GS_NORM_FLOOR: the first point, which has
+    # nothing to project out, still goes through the floor check
+    _patched_normalizers(monkeypatch, math.log(1e-13))
+    active = ActiveIndexSet(indices=(0,), n_eigen=1)
+    with pytest.raises(OrthogonalizationError):
+        sample_positions(disc09, active, make_rng(1))
+
+
 def _piecewise_radial_cdf(intervals, n):
     # P(|z| <= r) for phi_n: sum_j (min(r, b_j)**k - a_j**k)_+ / lambda_n
     k = 2 * n + 2
@@ -417,6 +448,30 @@ def test_min_radius_cdf_monotone():
     assert min_radius_cdf(8, 0.5) >= min_radius_cdf(4, 0.5)
 
 
+def _scalar_min_radius_cdf(n, x):
+    # the one-real formula, with math.expm1
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if n == 1:
+        return x * x
+    k = np.arange(1, n + 1, dtype=float)
+    return -math.expm1(float(np.log1p(-(x ** (2.0 * k))).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_min_radius_cdf_array_matches_scalar(n):
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([rng.uniform(-0.3, 1.3, 10_000 - 6), [-1.0, -0.0, 0.0, 1.0, 2.0, 5e-324]])
+    got = min_radius_cdf(n, xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, [_scalar_min_radius_cdf(n, x) for x in xs.tolist()])
+    assert np.array_equal(got, [min_radius_cdf(n, x) for x in xs.tolist()])
+    assert np.array_equal(min_radius_cdf(n, xs.reshape(100, 100)), got.reshape(100, 100))
+    assert type(min_radius_cdf(n, 0.5)) is float
+
+
 def test_min_law_against_sampler():
     reps = 20_000
     rng = make_rng(7, 0, PHASE_MODULI)
@@ -506,6 +561,42 @@ def test_streams_validation():
         make_rng(0, 1 << 56)
     with pytest.raises(DomainError):
         make_rng(0, 0, 256)
+
+
+def _bit_state(rng):
+    st = rng.bit_generator.state
+    return (
+        st["state"]["counter"].tolist(),
+        st["state"]["key"].tolist(),
+        st["buffer"].tolist(),
+        st["buffer_pos"],
+        st["has_uint32"],
+        st["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("phase", [PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI])
+def test_replica_rngs_match_make_rng(phase):
+    # each yield is the fresh make_rng cell, even when the previous replica
+    # left a cached 32-bit half, a partly used block or an advanced counter
+    replicas = [*range(301), (1 << 56) - 1]
+    seen = 0
+    for r, rng in zip(replicas, _replica_rngs(12, replicas, phase)):
+        fresh = make_rng(12, r, phase)
+        assert _bit_state(rng) == _bit_state(fresh)
+        assert np.array_equal(rng.random(64), fresh.random(64))
+        if r % 3 == 0:
+            rng.integers(1 << 32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        elif r % 3 == 1:
+            rng.bit_generator.random_raw(3)
+            assert rng.bit_generator.state["buffer_pos"] == 3
+        else:
+            rng.bit_generator.advance(7)
+        seen += 1
+    assert seen == len(replicas)
+    with pytest.raises(DomainError):
+        next(_replica_rngs(12, [1 << 56], phase))
 
 
 def test_seed_beyond_key_word_rejected(disc09):

@@ -44,10 +44,15 @@ def brute_force_pmf(lam):
     return pmf
 
 
-def full_window_pmf(lam):
+TINY = np.finfo(float).tiny
+
+
+def full_window_pmf(lam, flush=True):
     """count_pmf's recursion over the whole window [0, top] at every step,
-    renormalized on the same schedule: the banded recursion must match it
-    to the bit."""
+    renormalized on the same schedule and, with flush, with every entry below
+    the smallest normal double set to 0.0 after each absorption: the banded
+    recursion must match it to the bit.  Without flush it is the recursion
+    that keeps subnormal probabilities."""
     lam = np.asarray(lam, dtype=float)
     pmf = np.zeros(lam.size + 1)
     pmf[0] = 1.0
@@ -57,9 +62,22 @@ def full_window_pmf(lam):
             pmf[1 : top + 2] = pmf[1 : top + 2] * (1.0 - l) + pmf[: top + 1] * l
             pmf[0] *= 1.0 - l
             top += 1
+            if flush:
+                window = pmf[: top + 1]
+                window[window < TINY] = 0.0
         if (t + 1) % _RENORM_EVERY == 0:
             pmf[: top + 1] /= pmf[: top + 1].sum()
     return pmf / pmf.sum()
+
+
+def random_spectra():
+    """40 spectra of up to 300 eigenvalues, some near 0 or 1, some exactly."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        lam = rng.random(int(rng.integers(1, 300))) ** rng.choice([1.0, 0.02, 50.0])
+        lam[rng.random(lam.size) < 0.1] = 0.0
+        lam[rng.random(lam.size) < 0.1] = 1.0
+        yield lam
 
 
 # -----------------------------------------------------------------------------
@@ -137,20 +155,34 @@ def test_count_pmf_validation():
 
 
 def test_count_pmf_bit_identical_to_full_window():
-    # disc:0.9995 at N=5000: both tails underflow, so the band is 60..1911
+    # disc:0.9995 at N=5000: both tails fall below the smallest normal
+    # double and are flushed, so the band is 256..1886
     lam = BergmanSpectrum.disc(0.9995).eigenvalues(5000)
     got = count_pmf(lam).pmf
     nonzero = np.flatnonzero(got)
-    assert (nonzero[0], nonzero[-1]) == (60, 1911)
+    assert (nonzero[0], nonzero[-1]) == (256, 1886)
+    assert got[nonzero].min() >= TINY
     assert np.array_equal(got, full_window_pmf(lam))
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        lam = rng.random(int(rng.integers(1, 300))) ** rng.choice([1.0, 0.02, 50.0])
-        lam[rng.random(lam.size) < 0.1] = 0.0
-        lam[rng.random(lam.size) < 0.1] = 1.0
+    for lam in random_spectra():
         assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
     for lam in ([1.0, 1.0, 0.5], []):
         assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
+
+
+def test_count_pmf_flush_changes_only_subnormal_scale_entries():
+    # against the recursion that keeps subnormals: entries from 1e-280 up
+    # are the same bits, the rest moves by less than 1e-280
+    spectra = [BergmanSpectrum.disc(0.9995).eigenvalues(5000), *random_spectra()]
+    for lam in spectra:
+        got, kept = count_pmf(lam).pmf, full_window_pmf(lam, flush=False)
+        big = np.maximum(got, kept) >= 1e-280
+        assert np.array_equal(got[big], kept[big])
+        assert np.all(np.abs(got - kept)[~big] < 1e-280)
+    # the law acceptance test 09 and the benchmark read: same mean and variance
+    lam = BergmanSpectrum.disc(0.9995).eigenvalues(27624)
+    got, kept = count_pmf(lam), CountDistribution(full_window_pmf(lam, flush=False))
+    assert got.mean() == kept.mean()
+    assert got.variance() == kept.variance()
 
 
 def test_count_pmf_large_spectrum_stability():
