@@ -16,6 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, _as_int, _as_real
+from .regions import disc, region_trace
+from .sampler import default_truncation
+from .spectral import BergmanSpectrum
 
 __all__ = [
     "truncation_constants",
@@ -37,16 +40,16 @@ _COINCIDENCE_TOL = 1e-12
 def truncation_constants(radius: float) -> tuple[float, float]:
     """(N_R, g): expected point count R**2/(1-R**2) and decay rate R**2/(1+R)."""
     radius = _as_real(radius, "disc radius", 0, 1)
-    n_r = radius * radius / ((1.0 - radius) * (1.0 + radius))
+    n_r = region_trace(disc(radius))
     g = radius * radius / (1.0 + radius)
     return n_r, g
 
 
 def default_bound_truncation(radius: float, beta: float) -> int:
-    """ceil(beta * N_R), the truncation index the exponential bound assumes."""
-    beta = _as_real(beta, "beta")
-    n_r, _ = truncation_constants(radius)
-    return max(1, math.ceil(beta * n_r))
+    """ceil(beta * N_R), the truncation index the exponential bound assumes:
+    the sampler's default_truncation on the disc of that radius."""
+    radius = _as_real(radius, "disc radius", 0, 1)
+    return default_truncation(BergmanSpectrum.disc(radius), beta)
 
 
 def wasserstein_bound(radius: float, beta: float) -> float:

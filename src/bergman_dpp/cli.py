@@ -34,15 +34,7 @@ from .sampler import (
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import PHASE_MODULI, PHASE_SAMPLE, _replica_rngs, make_rng
-from .verify import (
-    GofReport,
-    bound_audit,
-    count_gof,
-    count_pmf,
-    ks_critical_value,
-    ks_statistic,
-    mc_count_stats,
-)
+from .verify import _ks_gate, bound_audit, count_gof, count_pmf, mc_count_stats
 
 _DELTAS = (0.1, 0.01, 0.001)
 
@@ -214,17 +206,11 @@ def _cmd_verify(args) -> int:
         abs(sample_positions(spec08, active, rng).points[0])
         for rng in _replica_rngs(args.seed, range(ks_reps), PHASE_SAMPLE)
     ]
-    stat = ks_statistic(radii, lambda x: (x / 0.8) ** 2)
-    thr = ks_critical_value(ks_reps)
-    results.append(
-        GofReport("positional-law:disc:0.8:index=0", stat, thr, ks_reps, stat <= thr).to_dict()
-    )
+    results.append(_ks_gate("positional-law:disc:0.8:index=0", radii, lambda x: (x / 0.8) ** 2).to_dict())
 
     rng = make_rng(args.seed, 0, PHASE_MODULI)
     minima = [sample_moduli(20, rng).min() for _ in range(args.reps)]
-    stat = ks_statistic(minima, lambda x: min_radius_cdf(20, x))
-    thr = ks_critical_value(args.reps)
-    results.append(GofReport("min-radius-law:n=20", stat, thr, args.reps, stat <= thr).to_dict())
+    results.append(_ks_gate("min-radius-law:n=20", minima, lambda x: min_radius_cdf(20, x)).to_dict())
 
     ok = all(r.get("verdict", "pass") == "pass" for r in results)
     _emit(_report({"reps": args.reps, "seed": args.seed}, results), args.out)

@@ -36,7 +36,7 @@ from .errors import (
     _as_real,
     _as_reals,
 )
-from .spectral import BergmanSpectrum, GinibreSpectrum
+from .spectral import _INDEX_END, BergmanSpectrum, GinibreSpectrum
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, make_rng
 
 __all__ = [
@@ -87,14 +87,16 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ActiveIndexSet:
-    """Outcome of the Bernoulli phase: active eigenfunction indices below n_eigen."""
+    """Outcome of the Bernoulli phase: active eigenfunction indices below n_eigen
+    (and below 2**63, as int64 array entries)."""
 
     indices: tuple[int, ...]
     n_eigen: int
 
     def __post_init__(self):
         n_eigen = _as_int(self.n_eigen, "n_eigen")
-        indices = tuple(_as_int(i, "active index", 0, n_eigen) for i in self.indices)
+        end = min(n_eigen, _INDEX_END)
+        indices = tuple(_as_int(i, "active index", 0, end) for i in self.indices)
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise DomainError("active indices must be strictly increasing")
         object.__setattr__(self, "indices", indices)
@@ -187,10 +189,9 @@ def default_truncation(spectrum, beta: float) -> int:
 def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
     """The first n_eigen eigenvalues, checked to be finite and in [0, 1]."""
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
-    lam = np.asarray(spectrum.eigenvalues(n_eigen), dtype=float)
-    # the comparisons are False for NaN, so a NaN eigenvalue is rejected too
-    if lam.shape != (n_eigen,) or not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise DomainError("spectrum must provide eigenvalues in [0, 1]")
+    lam = _as_reals(spectrum.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
+    if lam.shape != (n_eigen,):
+        raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
     return lam
 
 

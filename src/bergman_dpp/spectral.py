@@ -32,6 +32,9 @@ __all__ = [
 
 # indices and truncation orders are int64 array entries: below 2**63
 _INDEX_END = 1 << 63
+# numpy describes no array of 2**63 bytes or more, so an n_eigen whose
+# float64 arrays hold n_eigen entries per interval stays below 2**60 in all
+_ENTRIES_END = _INDEX_END // 8
 
 
 def _as_point(z) -> complex:
@@ -87,7 +90,7 @@ class BergmanSpectrum:
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
         """Eigenvalues for indices 0 .. n_eigen-1 as a float array."""
-        n_eigen = _as_int(n_eigen, "n_eigen", 0, _INDEX_END)
+        n_eigen = _as_int(n_eigen, "n_eigen", 0, _ENTRIES_END // self._b.size)
         e = (2.0 * np.arange(n_eigen) + 2.0)[:, None]
         bp = self._b[None, :] ** e
         ap = self._a[None, :] ** e
@@ -171,7 +174,7 @@ class BergmanSpectrum:
 
     def truncated_kernel(self, n_eigen: int, x, y) -> complex:
         """Partial spectral sum  sum_{n < n_eigen} lambda_n phi_n(x) conj(phi_n(y))."""
-        n_eigen = _as_int(n_eigen, "n_eigen", 1, _INDEX_END)
+        n_eigen = _as_int(n_eigen, "n_eigen", 1, _ENTRIES_END // self._b.size)
         fx, fy = self.feature_matrix(np.arange(n_eigen), [_as_point(x), _as_point(y)])
         return complex(np.sum(self.eigenvalues(n_eigen) * fx * fy.conjugate()))
 
@@ -194,7 +197,7 @@ class GinibreSpectrum:
         return float(gammainc(n + 1, self.radius * self.radius))
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
-        n_eigen = _as_int(n_eigen, "n_eigen", 0, _INDEX_END)
+        n_eigen = _as_int(n_eigen, "n_eigen", 0, _ENTRIES_END)
         return gammainc(np.arange(1, n_eigen + 1), self.radius * self.radius)
 
     def trace(self) -> float:

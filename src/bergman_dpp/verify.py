@@ -10,7 +10,9 @@ would add exact zeros, which change no bits.  That oracle anchors everything
 else: chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits,
 and the dominance chain of the truncation bounds.  All gates run at a
 fixed significance and a fixed seed; a verdict is a pure comparison of
-statistic against threshold.
+statistic against threshold.  Every chi-square gate is one Pearson gate
+whose threshold comes from scipy.special.gammaincinv, and every
+Kolmogorov-Smirnov gate uses the asymptotic critical value.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import gammaincinv
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
-from .errors import DomainError, _as_int, _as_pair, _as_real, _elements
+from .errors import DomainError, _as_int, _as_pair, _as_real, _as_reals, _elements
 from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
 from .spectral import BergmanSpectrum
 from .streams import PHASE_BERNOULLI, _replica_rngs
@@ -112,11 +114,9 @@ def count_pmf(eigenvalues) -> CountDistribution:
     thousand steps and the drift is required to stay at rounding scale,
     anything larger is a hard error.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _as_reals(eigenvalues, "eigenvalues", 0, 1, ends="[]")
     if lam.ndim != 1:
         raise DomainError("eigenvalues must form a one-dimensional sequence")
-    if lam.size and (np.any(lam < 0.0) or np.any(lam > 1.0) or not np.all(np.isfinite(lam))):
-        raise DomainError("eigenvalues must lie in [0, 1]")
     n = lam.size
     pmf = np.zeros(n + 1)
     pmf[0] = 1.0
@@ -205,18 +205,33 @@ class GofReport:
         return {"name": self.name, "values": values, "verdict": "pass" if self.passed else "fail"}
 
 
+def _pearson(name, observed, expected, df, alpha, sample_size, extra) -> GofReport:
+    """Pearson chi-square gate of observed against expected counts.
+
+    The threshold is the chi-square (1 - alpha)-quantile on df degrees of
+    freedom, 2 P^-1(df/2, 1 - alpha) with P the regularized lower incomplete
+    gamma: the expression scipy.stats.chi2.ppf evaluates, to the bit.
+    """
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    threshold = float(2.0 * gammaincinv(df / 2.0, 1.0 - alpha))
+    return GofReport(name, statistic, threshold, sample_size, statistic <= threshold, extra)
+
+
 def count_gof(
     histogram, dist: CountDistribution, alpha: float = 1e-3, name: str = "count-gof"
 ) -> GofReport:
     """Pearson chi-square of an observed count histogram against the exact law.
 
-    Cells are merged left to right until each expected count reaches 5;
-    degrees of freedom are merged cells minus one.
+    Each histogram entry is a count: a finite non-negative integer.  Cells
+    are merged left to right until each expected count reaches 5; degrees
+    of freedom are merged cells minus one.
     """
     alpha = _as_real(alpha, "alpha", 0, 1)
-    obs = np.asarray(histogram, dtype=float)
-    if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0):
+    obs = _as_reals(histogram, "histogram", 0, ends="[)")
+    if obs.ndim != 1 or obs.size == 0:
         raise DomainError("histogram must be a one-dimensional array of counts")
+    for h in obs.tolist():
+        _as_int(h, "histogram count")
     reps = float(obs.sum())
     if reps <= 0:
         raise DomainError("histogram is empty")
@@ -244,19 +259,9 @@ def count_gof(
             merged_exp.append(acc_e)
     if len(merged_exp) < 2:
         raise DomainError("fewer than two cells with expected mass; nothing to test")
-    mo = np.array(merged_obs)
     me = np.array(merged_exp)
-    statistic = float(((mo - me) ** 2 / me).sum())
-    df = len(me) - 1
-    threshold = float(_stats.chi2.ppf(1.0 - alpha, df))
-    return GofReport(
-        name=name,
-        statistic=statistic,
-        threshold=threshold,
-        sample_size=int(reps),
-        passed=statistic <= threshold,
-        extra={"cells": len(me), "alpha": alpha},
-    )
+    extra = {"cells": len(me), "alpha": alpha}
+    return _pearson(name, np.array(merged_obs), me, len(me) - 1, alpha, int(reps), extra)
 
 
 def _partial_power_sum(r: float, n_eigen: int) -> float:
@@ -321,22 +326,13 @@ def intensity_profile_test(
         ],
         dtype=float,
     )
-    statistic = float(((observed - expected) ** 2 / expected).sum())
-    threshold = float(_stats.chi2.ppf(1.0 - alpha, len(cleaned)))
     table = {
         "bins": [
             {"r1": r1, "r2": r2, "observed": o, "expected": e}
             for (r1, r2), o, e in zip(cleaned, observed, expected)
         ]
     }
-    return GofReport(
-        name="intensity-profile",
-        statistic=statistic,
-        threshold=threshold,
-        sample_size=reps,
-        passed=statistic <= threshold,
-        extra=table,
-    )
+    return _pearson("intensity-profile", observed, expected, len(cleaned), alpha, reps, table)
 
 
 def ks_statistic(samples, cdf) -> float:
@@ -366,6 +362,14 @@ def ks_critical_value(n: int, alpha: float = 1e-3) -> float:
     n = _as_int(n, "sample size", 1)
     alpha = _as_real(alpha, "alpha", 0, 1)
     return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)
+
+
+def _ks_gate(name: str, samples, cdf) -> GofReport:
+    """Kolmogorov-Smirnov gate of samples against cdf at significance 1e-3."""
+    n = len(samples)
+    stat = ks_statistic(samples, cdf)
+    threshold = ks_critical_value(n)
+    return GofReport(name, stat, threshold, n, stat <= threshold)
 
 
 def chernoff_consistency(dist: CountDistribution, cs) -> list[dict]:

@@ -44,6 +44,7 @@ from bergman_dpp import (
     min_radius_cdf,
     sample,
     sample_moduli,
+    sample_positions,
     sufficiency_margin,
     truncation_constants,
     wasserstein_bound,
@@ -54,9 +55,13 @@ NOT_REAL = (NAN, INF, -INF, None, "x")
 NOT_INT = NOT_REAL + (1.5,)
 # eigenfunction indices and truncation orders are int64 array entries
 BEYOND_INT64 = (1 << 63, 1 << 64)
+# numpy describes no array of 2**63 bytes: 2**60 float64 entries or more
+BEYOND_ARRAY = (1 << 60, 1 << 62)
 
 SPEC = BergmanSpectrum.disc(0.9)
 HALF = BergmanSpectrum.disc(0.5)
+# three intervals: 2**59 indices already need 3 * 2**62 bytes
+THREE = BergmanSpectrum(RadialRegion(((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))))
 GIN = GinibreSpectrum(1.0)
 WEIGHTS = GeometricWeights(0.1, 0.5)
 CONFS = [sample(SPEC, SamplerConfig(n_eigen=5, seed=1), replica=r) for r in range(3)]
@@ -75,6 +80,11 @@ INT_CASES = [
     ("SamplerConfig.n_eigen", lambda v: SamplerConfig(n_eigen=v), 3, (0,), DomainError),
     ("SamplerConfig.seed", lambda v: SamplerConfig(beta=1.0, seed=v), 7, (-1, 1 << 64), DomainError),
     ("ActiveIndexSet.indices", lambda v: ActiveIndexSet((v,), 8), 2, (-1, 8), DomainError),
+    (
+        "sample_positions.active_index",
+        lambda v: sample_positions(SPEC, ActiveIndexSet((v,), 1 << 65), make_rng(0)),
+        1 << 62, BEYOND_INT64, DomainError,
+    ),
     ("ActiveIndexSet.n_eigen", lambda v: ActiveIndexSet((), v), 3, (-1,), DomainError),
     ("make_rng.seed", lambda v: make_rng(v), 3, (-1, 1 << 64), DomainError),
     ("make_rng.replica", lambda v: make_rng(0, v), 3, (-1, 1 << 56), DomainError),
@@ -84,7 +94,8 @@ INT_CASES = [
     ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,), DomainError),
     ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,), DomainError),
     ("FamilySpec.count", lambda v: _family(count=v), 4, (0,), RegionError),
-    ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,) + BEYOND_INT64, DomainError),
+    ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
+    ("BergmanSpectrum.eigenvalues.intervals", THREE.eigenvalues, 4, (1 << 59,), DomainError),
     ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
     (
         "BergmanSpectrum.feature_matrix.indices",
@@ -93,9 +104,9 @@ INT_CASES = [
     ("BergmanSpectrum.eigenfunction", lambda v: SPEC.eigenfunction(v, 0.1), 4, (-1,) + BEYOND_INT64, DomainError),
     (
         "BergmanSpectrum.truncated_kernel",
-        lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,) + BEYOND_INT64, DomainError,
+        lambda v: SPEC.truncated_kernel(v, 0.1, 0.2), 4, (0,) + BEYOND_ARRAY + BEYOND_INT64, DomainError,
     ),
-    ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,) + BEYOND_INT64, DomainError),
+    ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
     ("GinibreSpectrum.eigenvalue", GIN.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
     ("coupling_tail.n_eigen", lambda v: coupling_tail(0.9, v), 4, (-1,), DomainError),
     ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,), DomainError),
@@ -127,6 +138,13 @@ REAL_CASES = [
     ("GinibreSpectrum.radius", GinibreSpectrum, 1.5, (0.0,), DomainError),
     ("ks_critical_value.alpha", lambda v: ks_critical_value(100, v), 0.01, (0.0, 1.0), DomainError),
     ("count_gof.alpha", lambda v: count_gof(HIST, DIST, alpha=v), 0.01, (0.0, 1.0), DomainError),
+    # every histogram entry is a count: a finite non-negative integer
+    ("count_gof.histogram", lambda v: count_gof([v, *HIST[1:]], DIST), 20, (-1, 0.5, "1"), DomainError),
+    # eigenvalues are reals in [0, 1], never numeric strings
+    (
+        "count_pmf.eigenvalues",
+        lambda v: count_pmf([0.5, v]), 0.5, ("0.5", -_ABOVE_ZERO, _ABOVE_ONE), DomainError,
+    ),
     (
         "intensity_profile_test.alpha",
         lambda v: intensity_profile_test(CONFS, SPEC, [(0.0, 0.5)], alpha=v),
@@ -191,6 +209,8 @@ RAGGED_CASES = [
     ("BergmanSpectrum.feature_matrix.z", lambda: SPEC.feature_matrix([0], [[0.1, 0.2], 0.3])),
     ("BergmanSpectrum.feature_matrix.indices", lambda: SPEC.feature_matrix([[0, 1], 2], 0.1)),
     ("chernoff_consistency.cs", lambda: chernoff_consistency(DIST, [[0.1], 0.2])),
+    ("count_pmf.eigenvalues", lambda: count_pmf([[0.5], [0.5, 0.2]])),
+    ("count_gof.histogram", lambda: count_gof([[20, 40], 60], DIST)),
 ]
 
 

@@ -14,6 +14,9 @@ from bergman_dpp import (
     coincidence_probability,
     coupling_tail,
     default_bound_truncation,
+    default_truncation,
+    disc,
+    region_trace,
     sufficiency_margin,
     truncation_constants,
     wasserstein_bound,
@@ -60,6 +63,15 @@ def test_constants_domain():
 # -----------------------------------------------------------------------------
 # truncation and the exponential bound
 # -----------------------------------------------------------------------------
+def test_bound_truncation_is_the_sampler_rule():
+    # bounds and the sampler share one truncation rule and one disc trace
+    for r in np.linspace(0.001, 0.999, 97).tolist() + [1e-300, 0.9, 0.99, 0.999999]:
+        spectrum = BergmanSpectrum.disc(r)
+        assert truncation_constants(r)[0] == region_trace(disc(r))
+        for beta in (1e-3, 0.5, 1.0, 2.0, 3.7, 5.0, 50.0):
+            assert default_bound_truncation(r, beta) == default_truncation(spectrum, beta)
+
+
 def test_default_bound_truncation():
     # beta * N_R = 2 * 4.263.. -> 9
     assert default_bound_truncation(0.9, 2.0) == 9

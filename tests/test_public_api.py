@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,18 @@ def test_generators_built_only_in_streams():
         if built.search(line)
     ]
     assert not builders, f"random generators built outside streams.py: {builders}"
+
+
+def test_package_does_not_import_scipy_stats():
+    # the gates need only scipy.special; scipy.stats alone roughly doubled
+    # the import time and resident memory.  A fresh interpreter sees indirect
+    # imports that a scan of the sources would miss.
+    src = str(Path(bergman_dpp.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bergman_dpp, bergman_dpp.cli; "
+        "print(' '.join(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "", f"scipy.stats modules loaded: {out.split()[:5]}"

@@ -29,7 +29,7 @@ from bergman_dpp import (
     wasserstein_bound,
 )
 from bergman_dpp.streams import PHASE_BERNOULLI
-from bergman_dpp.verify import _RENORM_EVERY
+from bergman_dpp.verify import _RENORM_EVERY, _pearson
 
 
 def brute_force_pmf(lam):
@@ -272,6 +272,16 @@ def test_count_gof_threshold_is_chi2_quantile(disc09, rng):
     hist = rng.multinomial(10_000, d.pmf)
     rep = count_gof(hist, d, alpha=0.01)
     assert rep.threshold == pytest.approx(sps.chi2.ppf(0.99, rep.extra["cells"] - 1))
+
+
+def test_pearson_threshold_is_scipy_chi2_quantile():
+    # the gates take the chi-square quantile from scipy.special; scipy.stats
+    # stays here as the reference, bit for bit
+    one = np.ones(1)
+    for alpha in (1e-3, 0.01, 0.05):
+        ref = sps.chi2.ppf(1.0 - alpha, np.arange(1, 2001))
+        got = [_pearson("t", one, one, df, alpha, 1, None).threshold for df in range(1, 2001)]
+        assert np.array_equal(got, ref)
 
 
 def test_count_gof_validation():
