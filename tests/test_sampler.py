@@ -239,6 +239,26 @@ def test_single_index_accepts_first_proposal(disc09, annulus59):
                 assert conf.meta.proposals == 1
 
 
+@pytest.mark.parametrize("radius, n_eigen, seed", [(0.98, 122, 1), (0.8, 1, 4)])
+def test_positions_leave_generator_past_drawn_proposals(radius, n_eigen, seed):
+    # the positional phase takes 4 doubles per proposal drawn and no more:
+    # afterwards the generator continues as a fresh stream advanced past the
+    # Bernoulli phase and 4 * meta.proposals doubles
+    spectrum = BergmanSpectrum.disc(radius)
+    rng = make_rng(seed)
+    active = bernoulli_phase(spectrum, n_eigen, rng)
+    conf = sample_positions(spectrum, active, rng)
+    m = len(active)
+    if m > 1:
+        # more than the first chunk of every point: some point drew a second
+        assert conf.meta.proposals > sum(-(-m // (m - i)) for i in range(m))
+    else:
+        assert m == 1 and conf.meta.proposals == 1
+    fresh = make_rng(seed)
+    fresh.random(n_eigen + 4 * conf.meta.proposals)
+    assert np.array_equal(rng.random(16), fresh.random(16))
+
+
 class _PinnedFirstDraw:
     """Generator stand-in whose first random() call returns fixed rows."""
 
