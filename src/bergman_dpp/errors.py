@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the one rule by which
 arguments are checked: a count, index or seed must be a finite real equal
 to an integer in range, a bounded real a finite real inside its interval,
-an interval or bin a pair of such reals, an array of reals a rectangular
-numeric array whose every element passes as a bounded real; anything else
-raises the named error instead of escaping as a bare TypeError,
-ValueError or OverflowError or being truncated silently."""
+an interval or bin a pair of such reals, an array of reals (of indices)
+a rectangular array whose every element passes as a bounded real (as an
+integer in range); anything else raises the named error instead of
+escaping as a bare TypeError, ValueError or OverflowError or being
+truncated silently."""
 
 import math
 
@@ -104,6 +105,26 @@ def _as_reals(values, name: str, low=0, high=math.inf, error=DomainError, ends="
     if bad.any():
         _as_real(arr[bad].flat[0], name, low, high, error, ends)
     return arr
+
+
+def _as_ints(values, name: str, minimum: int = 0, maximum: int | None = None, error=DomainError):
+    """values (an integer or an array of them) as a flat int64 array, every
+    element checked as _as_int checks one, else error; an integer array is
+    checked as one array, anything else element by element."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iu":
+        ints = [_as_int(v, name, minimum, maximum, error) for v in _elements(values, name, error)]
+        return np.array(ints, dtype=np.int64)
+    arr = arr.ravel()
+    bad = arr < minimum
+    if maximum is not None:
+        bad |= arr >= maximum
+    if bad.any():
+        _as_int(arr[bad][0].item(), name, minimum, maximum, error)
+    return arr.astype(np.int64)
 
 
 def _elements(values, name: str, error=DomainError) -> list:

@@ -14,10 +14,19 @@ uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
 The table and the log-space normalizers of phi_n come from
-BergmanSpectrum._mixture.
+BergmanSpectrum._mixture, kept for the last active set of each spectrum.
 
-Stream discipline: chunk sizes depend only on (m, i, chunk number), so a
-(seed, replica) replays byte-identically; SAMPLER_VERSION names the stream.
+Stream discipline: point i draws chunks of
+min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
+k = 0, 1, .. until one is accepted, so chunk sizes depend only on (m, i, k) and a (seed, replica) replays
+byte-identically; SAMPLER_VERSION names the stream.  Every point draws at
+least its first chunk, so the rows of all first chunks are certain to be
+consumed: they are drawn and evaluated as one block, at most _CHUNK_CAP
+rows at a time, and a point that rejects its first chunk draws its
+shortfall when it reaches the end of the block.  Drawing a rows and then b
+rows gives the same doubles as drawing a + b rows, and no row is drawn
+before it is certain, so the generator ends exactly where chunked drawing
+ends.
 """
 
 from __future__ import annotations
@@ -202,6 +211,21 @@ def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveI
     return ActiveIndexSet(indices=tuple(hits.tolist()), n_eigen=lam.size)
 
 
+def _proposals(u, idx, table, cum, log_inv):
+    """Evaluate proposal rows u (pick, radius, angle, acceptance uniforms):
+    the acceptance uniforms, log z, phi_I(z), ||phi_I(z)||**2 and the
+    denominator of the acceptance ratio."""
+    pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+    t = table[np.minimum(pick, len(table) - 1)]
+    # r**k uniform between a**k and b**k; 1 - u lies in (0, 1], so r > 0
+    r = t[:, 0] * (t[:, 1] + (1.0 - u[:, 1]) * t[:, 2]) ** t[:, 3]
+    log_z = np.log(r) + (2j * math.pi) * u[:, 2]
+    feats = np.exp(np.multiply.outer(log_z, idx) + log_inv)
+    norm_sq = np.square(feats.view(float)).sum(axis=1)
+    # a proposal where every phi_n underflows has ratio 0 / 1: a rejection
+    return u[:, 3], log_z, feats, norm_sq, np.where(norm_sq > 0.0, norm_sq, 1.0)
+
+
 def sample_positions(
     spectrum: BergmanSpectrum,
     active: ActiveIndexSet,
@@ -215,41 +239,49 @@ def sample_positions(
     region = spectrum.region
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
-    points: list[complex] = []
+    log_points = []
     rejections: list[int] = []
     proposals = 0
     if m:
-        table, cum, log_inv = spectrum._mixture(idx)
+        mixture = spectrum._sampler_mixture(idx)
         basis = np.zeros((m, m), dtype=complex)
+        # every point draws at least its first chunk, so the first chunks
+        # of the points after this one are certain to be consumed
+        first = [min(_CHUNK_CAP, -(-m // (m - i))) for i in range(m)]
+        later = sum(first)
+    # stream rows: pos consumed, [lo, hi) drawn and evaluated in block
+    pos = lo = hi = 0
 
     for i in range(m):
+        later -= first[i]
         conj_basis = basis[:i].conj()
         consumed = chunk_no = 0
         while True:
             # the expected count ceil(m / (m - i)), doubled per further chunk
             c = min(_CHUNK_CAP, -(-m // (m - i)) << chunk_no)
             chunk_no += 1
-            u = rng.random((c, 4))
-            pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-            t = table[np.minimum(pick, len(table) - 1)]
-            # r**k uniform between a**k and b**k; 1 - u lies in (0, 1], so r > 0
-            r = t[:, 0] * (t[:, 1] + (1.0 - u[:, 1]) * t[:, 2]) ** t[:, 3]
-            log_z = np.log(r) + (2j * math.pi) * u[:, 2]
-            feats = np.exp(np.multiply.outer(log_z, idx) + log_inv)
-            norm_sq = np.square(feats.view(float)).sum(axis=1)
+            if pos + c > hi:
+                # extend the block over the rows certain to be consumed, at
+                # most _CHUNK_CAP rows from this chunk's start
+                end = max(pos + c, min(pos + c + later, pos + _CHUNK_CAP))
+                rows = _proposals(rng.random((end - hi, 4)), idx, *mixture)
+                if hi > pos:
+                    rows = [np.concatenate((a[pos - lo :], b)) for a, b in zip(block, rows)]
+                block, lo, hi = rows, pos, end
+            accept, log_z, feats, norm_sq, denom = (a[pos - lo : pos - lo + c] for a in block)
+            pos += c
             if i:
                 resid = norm_sq - np.square((feats @ conj_basis.T).view(float)).sum(axis=1)
             else:
                 resid = norm_sq  # the basis is empty, and x - 0.0 == x
-            # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as
-            # NaN; a proposal where every phi_n underflows counts as a rejection
-            ratio = resid / np.where(norm_sq > 0.0, norm_sq, 1.0)
+            # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as NaN
+            ratio = resid / denom
             if not ratio.min() >= -_RATIO_SLACK:
                 raise EnvelopeError(
                     f"acceptance ratio {ratio.min()} outside [0, 1] at point {i + 1} of {m}"
                 )
             proposals += c
-            hits = np.flatnonzero(u[:, 3] < ratio)
+            hits = np.flatnonzero(accept < ratio)
             if len(hits):
                 break
             consumed += c
@@ -271,7 +303,7 @@ def sample_positions(
                 f"{i + 1} of {m}: numerically duplicate draw"
             )
         basis[i] = v / nrm
-        points.append(complex(np.exp(log_z[j])))
+        log_points.append(log_z[j])
 
     meta = SampleMeta(
         region=region.literal(),
@@ -280,7 +312,8 @@ def sample_positions(
         rejections=tuple(rejections),
         proposals=proposals,
     )
-    return PointConfiguration(points=tuple(points), meta=meta)
+    points = tuple(np.exp(np.array(log_points, dtype=complex)).tolist())
+    return PointConfiguration(points=points, meta=meta)
 
 
 def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -> PointConfiguration:

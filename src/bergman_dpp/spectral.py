@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, _as_int, _as_real, _elements
+from .errors import DomainError, _as_int, _as_ints, _as_real, _elements
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
@@ -74,6 +74,7 @@ class BergmanSpectrum:
         self._b = np.array([b for _, b in region.intervals])
         with np.errstate(divide="ignore"):
             self._log_ratio = np.log(self._a / self._b)  # -inf on a disc
+        self._memo = (None, None)  # (idx bytes, _mixture(idx)) of _sampler_mixture
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -137,6 +138,21 @@ class BergmanSpectrum:
         log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
         return table.reshape(-1, 4), cum, log_inv
 
+    def _sampler_mixture(self, idx: np.ndarray):
+        """_mixture(idx) through a one-entry memo keyed by idx.tobytes().
+
+        For the sampler, whose replica loops draw one active set many times;
+        the arrays are shared, so they are read-only.  feature_matrix calls
+        _mixture directly, so no table it builds outlives the call.
+        """
+        key = idx.tobytes()
+        if self._memo[0] != key:
+            arrays = self._mixture(idx)
+            for a in arrays:
+                a.flags.writeable = False
+            self._memo = (key, arrays)
+        return self._memo[1]
+
     def feature_matrix(self, indices, z) -> np.ndarray:
         """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))) for z_i in the closed region.
 
@@ -144,13 +160,7 @@ class BergmanSpectrum:
         nonzero.  An index that is not a non-negative integer, or a point
         that is not a finite complex number in the region, raises DomainError.
         """
-        indices = np.array(
-            [
-                _as_int(n, "eigenfunction index", 0, _INDEX_END)
-                for n in _elements(indices, "eigenfunction indices")
-            ],
-            dtype=int,
-        )
+        indices = _as_ints(indices, "eigenfunction index", 0, _INDEX_END)
         points = [_as_point(p) for p in _elements(z, "points")]
         for p in points:
             if not self.region.contains_point(p):

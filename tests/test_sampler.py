@@ -259,17 +259,40 @@ def test_positions_leave_generator_past_drawn_proposals(radius, n_eigen, seed):
     assert np.array_equal(rng.random(16), fresh.random(16))
 
 
-class _PinnedFirstDraw:
-    """Generator stand-in whose first random() call returns fixed rows."""
+def test_lookahead_stays_within_chunk_cap(disc09, monkeypatch):
+    # with the cap at 4 rows, the certain rows of 30 points span many blocks:
+    # no draw exceeds the cap, and the draws add up to the proposals
+    monkeypatch.setattr(sampler, "_CHUNK_CAP", 4)
+    sizes = []
 
-    def __init__(self, rows, rng):
-        self.rows, self.rng = rows, rng
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            sizes.append(shape[0])
+            return self.rng.random(shape)
+
+    rng = make_rng(5)
+    conf = sample_positions(disc09, ActiveIndexSet(tuple(range(30)), 30), Recording(rng))
+    assert max(sizes) <= 4 and sum(sizes) == conf.meta.proposals
+    assert max(conf.meta.rejections) >= 4  # some point drew past its first chunk
+    fresh = make_rng(5)
+    fresh.random(4 * conf.meta.proposals)
+    assert np.array_equal(rng.random(16), fresh.random(16))
+
+
+class _PinnedFirstDraw:
+    """Generator stand-in whose first row of proposals is a fixed row,
+    whatever the size of the block drawn first."""
+
+    def __init__(self, row, rng):
+        self.row, self.rng = row, rng
 
     def random(self, shape):
-        if self.rows is None:
-            return self.rng.random(shape)
-        rows, self.rows = np.asarray(self.rows, dtype=float), None
-        assert rows.shape == shape
+        rows = self.rng.random(shape)
+        if self.row is not None:
+            rows[0], self.row = self.row, None
         return rows
 
 
@@ -277,7 +300,7 @@ def test_massless_proposal_is_rejected(disc09):
     # a proposal at the origin has phi_n = 0 for every n > 0: the 0/0
     # acceptance ratio counts as a rejection, not as NaN
     active = ActiveIndexSet(indices=(1, 4), n_eigen=5)
-    rng = _PinnedFirstDraw([[0.2, 1.0, 0.3, 0.0]], make_rng(3))
+    rng = _PinnedFirstDraw([0.2, 1.0, 0.3, 0.0], make_rng(3))
     with np.errstate(divide="ignore", invalid="ignore"):
         conf = sample_positions(disc09, active, rng)
     assert conf.meta.rejections[0] == 1

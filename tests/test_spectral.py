@@ -281,6 +281,30 @@ def test_feature_matrix_is_sampler_expression():
         assert np.array_equal(s.feature_matrix(idx, zs), expected)
 
 
+def test_feature_matrix_integer_arrays_checked_whole(disc08):
+    # an integer array is checked as one array: its values, not its dtype,
+    # decide, and it gives the same matrix as the same indices as floats
+    ints = np.array([0, 3, 40], dtype=np.uint64)
+    assert np.array_equal(disc08.feature_matrix(ints, 0.5), disc08.feature_matrix([0.0, 3.0, 40.0], 0.5))
+    for bad in (np.array([[0], [-1]]), np.array([0, 1 << 63], dtype=np.uint64)):
+        with pytest.raises(DomainError):
+            disc08.feature_matrix(bad, 0.5)
+
+
+def test_sampler_mixture_memo(disc09):
+    # one entry, keyed by the index bytes, read-only; feature_matrix calls
+    # _mixture itself and leaves the entry alone
+    memo = disc09._sampler_mixture(np.arange(3))
+    assert disc09._sampler_mixture(np.arange(3)) is memo
+    assert not any(a.flags.writeable for a in memo)
+    for got, want in zip(memo, disc09._mixture(np.arange(3))):
+        assert np.array_equal(got, want)
+    disc09.feature_matrix(np.arange(500), 0.5)
+    assert disc09._sampler_mixture(np.arange(3)) is memo
+    other = disc09._sampler_mixture(np.array([0, 2]))
+    assert other is not memo and disc09._sampler_mixture(np.array([0, 2])) is other
+
+
 # -----------------------------------------------------------------------------
 # truncated kernel sums
 # -----------------------------------------------------------------------------
