@@ -18,15 +18,15 @@ BergmanSpectrum._mixture, kept for the last active set of each spectrum.
 
 Stream discipline: point i draws chunks of
 min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
-k = 0, 1, .. until one is accepted, so chunk sizes depend only on (m, i, k) and a (seed, replica) replays
-byte-identically; SAMPLER_VERSION names the stream.  Every point draws at
-least its first chunk, so the rows of all first chunks are certain to be
-consumed: they are drawn and evaluated as one block, at most _CHUNK_CAP
-rows at a time, and a point that rejects its first chunk draws its
-shortfall when it reaches the end of the block.  Drawing a rows and then b
-rows gives the same doubles as drawing a + b rows, and no row is drawn
-before it is certain, so the generator ends exactly where chunked drawing
-ends.
+k = 0, 1, .. until one is accepted.  Chunk sizes depend only on (m, i, k),
+so a (seed, replica) replays byte-identically; SAMPLER_VERSION names the
+stream.  Every point draws at least its first chunk, so the rows of all
+first chunks are certain to be consumed: they are drawn and evaluated as
+one block, at most _CHUNK_CAP rows at a time, and a point that rejects its
+first chunk draws its shortfall when it reaches the end of the block.
+Drawing a rows and then b rows gives the same doubles as drawing a + b
+rows, and no row is drawn before it is certain, so the generator ends
+exactly where chunked drawing ends.
 """
 
 from __future__ import annotations
