@@ -107,21 +107,22 @@ def _as_reals(values, name: str, low=0, high=math.inf, error=DomainError, ends="
     return arr
 
 
-def _as_ints(values, name: str, minimum: int = 0, maximum: int | None = None, error=DomainError):
+def _as_ints(values, name: str, minimum: int, maximum: int, error=DomainError):
     """values (an integer or an array of them) as a flat int64 array, every
-    element checked as _as_int checks one, else error; an integer array is
-    checked as one array, anything else element by element."""
+    element checked as _as_int checks one (maximum at most 2**63), else
+    error; arrays of strings or objects (an integer beyond uint64 among
+    them) and ragged sequences are not arrays of integers."""
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.dtype.kind not in "iu":
-        ints = [_as_int(v, name, minimum, maximum, error) for v in _elements(values, name, error)]
-        return np.array(ints, dtype=np.int64)
-    arr = arr.ravel()
-    bad = arr < minimum
-    if maximum is not None:
-        bad |= arr >= maximum
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an integer or an array of integers, got {values!r}")
+    # a bool array does not compare with 2**63; True and False pass as 1 and 0
+    arr = arr.ravel().astype(np.uint8 if arr.dtype.kind == "b" else arr.dtype)
+    bad = (arr < minimum) | (arr >= maximum)
+    if arr.dtype.kind == "f":
+        bad |= ~np.isfinite(arr) | (arr != np.trunc(arr))
     if bad.any():
         _as_int(arr[bad][0].item(), name, minimum, maximum, error)
     return arr.astype(np.int64)

@@ -25,8 +25,10 @@ first chunks are certain to be consumed: they are drawn and evaluated as
 one block, at most _CHUNK_CAP rows at a time, and a point that rejects its
 first chunk draws its shortfall when it reaches the end of the block.
 Drawing a rows and then b rows gives the same doubles as drawing a + b
-rows, and no row is drawn before it is certain, so the generator ends
-exactly where chunked drawing ends.
+rows, and no row is drawn before it is certain, so a call that returns
+leaves the generator exactly where chunked drawing leaves it.  A call that
+raises (EnvelopeError, RejectionBudgetError, OrthogonalizationError) may
+already have drawn the first chunks of the points after the failing one.
 """
 
 from __future__ import annotations

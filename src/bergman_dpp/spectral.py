@@ -146,12 +146,14 @@ class BergmanSpectrum:
         _mixture directly, so no table it builds outlives the call.
         """
         key = idx.tobytes()
-        if self._memo[0] != key:
+        # one read of the memo, so a call never pairs one key with another's arrays
+        memo_key, arrays = self._memo
+        if memo_key != key:
             arrays = self._mixture(idx)
             for a in arrays:
                 a.flags.writeable = False
             self._memo = (key, arrays)
-        return self._memo[1]
+        return arrays
 
     def feature_matrix(self, indices, z) -> np.ndarray:
         """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))) for z_i in the closed region.

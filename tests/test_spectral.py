@@ -281,12 +281,21 @@ def test_feature_matrix_is_sampler_expression():
         assert np.array_equal(s.feature_matrix(idx, zs), expected)
 
 
-def test_feature_matrix_integer_arrays_checked_whole(disc08):
-    # an integer array is checked as one array: its values, not its dtype,
-    # decide, and it gives the same matrix as the same indices as floats
-    ints = np.array([0, 3, 40], dtype=np.uint64)
-    assert np.array_equal(disc08.feature_matrix(ints, 0.5), disc08.feature_matrix([0.0, 3.0, 40.0], 0.5))
-    for bad in (np.array([[0], [-1]]), np.array([0, 1 << 63], dtype=np.uint64)):
+def test_feature_matrix_index_arrays_checked_whole(disc08):
+    # an index array is checked as one array: its values, not its dtype,
+    # decide, so whole floats, unsigned ints and bools give the same matrix
+    want = disc08.feature_matrix([0, 1, 40], 0.5)
+    for same in (np.array([0, 1, 40], dtype=np.uint64), [0.0, 1.0, 40.0], [False, True, 40]):
+        assert np.array_equal(disc08.feature_matrix(same, 0.5), want)
+    bad_arrays = (
+        np.array([[0], [-1]]),
+        np.array([0, 1 << 63], dtype=np.uint64),
+        np.array([0.0, 2.5]),
+        np.array([0.0, np.nan]),
+        np.array([0, 1 + 0j]),
+        np.array([0, 1], dtype=object),
+    )
+    for bad in bad_arrays:
         with pytest.raises(DomainError):
             disc08.feature_matrix(bad, 0.5)
 
