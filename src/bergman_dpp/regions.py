@@ -28,8 +28,6 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Union
 
-import mpmath as mp
-
 from .errors import DomainError, RegionError, _as_int, _as_pair, _as_real
 
 __all__ = [
@@ -283,7 +281,7 @@ class FamilyBuild:
 
     spec: FamilySpec
     region: RadialRegion
-    endpoints: tuple[tuple[mp.mpf, mp.mpf], ...]
+    endpoints: tuple[tuple[object, object], ...]  # mpmath.mpf pairs
     materialized_trace: float
     residual_weight: float
     logit_defects: tuple[float, ...]
@@ -293,6 +291,7 @@ class FamilyBuild:
 
 def _next_inner(b, spec: FamilySpec):
     # placement rule, evaluated at current mpmath precision
+    import mpmath as mp
     if spec.rule == "midpoint":
         return (b + 1) / 2
     return b + mp.mpf(spec.theta) * (1 - b)
@@ -300,6 +299,7 @@ def _next_inner(b, spec: FamilySpec):
 
 def _build_at_precision(spec: FamilySpec, dps: int):
     """One construction pass; returns None if the precision cannot resolve it."""
+    import mpmath as mp
     with mp.workdps(dps):
         resolution = mp.mpf(10) ** (-(dps - 15))
         a = mp.mpf(spec.a0)
@@ -339,6 +339,7 @@ def construct_family(spec: FamilySpec) -> FamilyBuild:
     before n = 50.  Strict interleaving and the per-step trace identity are
     certified on the native endpoints.
     """
+    import mpmath as mp  # here, not at module level: sample and verify never load it
     base = 60 + 2 * spec.count
     built = None
     for dps in (base, 2 * base, 4 * base, 8 * base):
@@ -430,6 +431,7 @@ def check_properties(
         obj = construct_family(obj)
 
     if isinstance(obj, FamilyBuild):
+        import mpmath as mp
         spec = obj.spec
         thr = mp.mpf(1) - mp.mpf(delta)
         witness_index = None

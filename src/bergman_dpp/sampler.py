@@ -14,7 +14,9 @@ uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
 The table and the log-space normalizers of phi_n come from
-BergmanSpectrum._mixture, kept for the last active set of each spectrum.
+BergmanSpectrum._sampler_mixture: sliced from the plan of the spectrum's
+last truncation N (its checked eigenvalues and the rows of every index
+below N), or, for a direct call on another N, kept for the last active set.
 
 Stream discipline: point i draws chunks of
 min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
@@ -198,12 +200,19 @@ def default_truncation(spectrum, beta: float) -> int:
 
 
 def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
-    """The first n_eigen eigenvalues, checked to be finite and in [0, 1]."""
+    """The first n_eigen eigenvalues, checked to be finite and in [0, 1]: kept
+    in a BergmanSpectrum's plan, evaluated and checked per call otherwise."""
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
-    lam = _as_reals(spectrum.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
-    if lam.shape != (n_eigen,):
-        raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
-    return lam
+
+    def checked(lam):
+        lam = _as_reals(lam, "eigenvalues", 0, 1, ends="[]")
+        if lam.shape != (n_eigen,):
+            raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
+        return lam
+
+    if type(spectrum) is BergmanSpectrum:
+        return spectrum._plan_eigenvalues(n_eigen, checked)
+    return checked(spectrum.eigenvalues(n_eigen))
 
 
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
@@ -238,15 +247,15 @@ def sample_positions(
         raise DomainError("positional sampling needs a monomial eigenfunction family")
     if not isinstance(active, ActiveIndexSet):
         raise DomainError(f"expected an ActiveIndexSet, got {type(active).__name__}")
-    region = spectrum.region
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
     log_points = []
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = spectrum._sampler_mixture(idx)
+        mixture = spectrum._sampler_mixture(idx, active.n_eigen)
         basis = np.zeros((m, m), dtype=complex)
+        conj_basis = np.zeros((m, m), dtype=complex)  # conj(basis), row by row
         # every point draws at least its first chunk, so the first chunks
         # of the points after this one are certain to be consumed
         first = [min(_CHUNK_CAP, -(-m // (m - i))) for i in range(m)]
@@ -256,7 +265,6 @@ def sample_positions(
 
     for i in range(m):
         later -= first[i]
-        conj_basis = basis[:i].conj()
         consumed = chunk_no = 0
         while True:
             # the expected count ceil(m / (m - i)), doubled per further chunk
@@ -273,7 +281,7 @@ def sample_positions(
             accept, log_z, feats, norm_sq, denom = (a[pos - lo : pos - lo + c] for a in block)
             pos += c
             if i:
-                resid = norm_sq - np.square((feats @ conj_basis.T).view(float)).sum(axis=1)
+                resid = norm_sq - np.square((feats @ conj_basis[:i].T).view(float)).sum(axis=1)
             else:
                 resid = norm_sq  # the basis is empty, and x - 0.0 == x
             # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as NaN
@@ -283,21 +291,21 @@ def sample_positions(
                     f"acceptance ratio {ratio.min()} outside [0, 1] at point {i + 1} of {m}"
                 )
             proposals += c
-            hits = np.flatnonzero(accept < ratio)
-            if len(hits):
+            hits = accept < ratio
+            j = int(hits.argmax())
+            if hits[j]:
                 break
             consumed += c
             if consumed >= _MAX_REJECTIONS:
                 raise RejectionBudgetError(
                     f"no acceptance within {_MAX_REJECTIONS} proposals at point "
-                    f"{i + 1} of {m} (region {region.literal()})"
+                    f"{i + 1} of {m} (region {spectrum._literal})"
                 )
-        j = int(hits[0])
         rejections.append(consumed + j)
         v = feats[j]
         # CGS2: classical Gram-Schmidt with one re-pass; nothing to remove at i = 0
         for _ in range(2 if i else 0):
-            v = v - (conj_basis @ v) @ basis[:i]
+            v = v - (conj_basis[:i] @ v) @ basis[:i]
         nrm = math.sqrt(np.vdot(v, v).real)
         if nrm < GS_NORM_FLOOR:
             raise OrthogonalizationError(
@@ -305,10 +313,11 @@ def sample_positions(
                 f"{i + 1} of {m}: numerically duplicate draw"
             )
         basis[i] = v / nrm
+        conj_basis[i] = basis[i].conj()
         log_points.append(log_z[j])
 
     meta = SampleMeta(
-        region=region.literal(),
+        region=spectrum._literal,
         n_eigen=active.n_eigen,
         active_indices=active.indices,
         rejections=tuple(rejections),

@@ -70,11 +70,14 @@ class BergmanSpectrum:
         if region.is_empty:
             raise DomainError("cannot build a spectrum over an empty region")
         self.region = region
+        self._literal = region.literal()
+        self._trace = region_trace(region)
         self._a = np.array([a for a, _ in region.intervals])
         self._b = np.array([b for _, b in region.intervals])
         with np.errstate(divide="ignore"):
             self._log_ratio = np.log(self._a / self._b)  # -inf on a disc
         self._memo = (None, None)  # (idx bytes, _mixture(idx)) of _sampler_mixture
+        self._plan = (None, None, None)  # (N, checked eigenvalues, _rows(arange(N)) or None)
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -85,7 +88,7 @@ class BergmanSpectrum:
         return cls(_annulus(inner, outer))
 
     def __repr__(self):
-        return f"BergmanSpectrum({self.region.literal()!r})"
+        return f"BergmanSpectrum({self._literal!r})"
 
     # -- eigenvalues --------------------------------------------------------
 
@@ -104,22 +107,32 @@ class BergmanSpectrum:
         terms = np.where(ap > 0.5 * bp, rel, bp - ap)
         return terms.sum(axis=1)
 
+    def _plan_eigenvalues(self, n_eigen: int, check) -> np.ndarray:
+        """check(eigenvalues(n_eigen)), read-only, kept as the plan for
+        n_eigen until another n_eigen replaces it; a failed check keeps nothing."""
+        n, lam, _ = self._plan  # one read, as in _sampler_mixture
+        if n != n_eigen:
+            lam = check(self.eigenvalues(n_eigen))
+            lam.flags.writeable = False
+            self._plan = (n_eigen, lam, None)
+        return lam
+
     def eigenvalue(self, n: int) -> float:
         return float(self.eigenvalues(_as_int(n, "eigenvalue index", 0, _INDEX_END) + 1)[-1])
 
     def trace(self) -> float:
         """Exact closed-form trace."""
-        return region_trace(self.region)
+        return self._trace
 
     # -- eigenfunctions ------------------------------------------------------
 
-    def _mixture(self, idx: np.ndarray):
-        """Proposal table, cumulative pair masses and log(1/sqrt(nu_n)) for idx.
+    def _rows(self, idx: np.ndarray):
+        """Proposal table, pair masses and log(1/sqrt(nu_n)), one row per index.
 
-        A table row per (index, interval) pair, index-major: b, (a/b)**k,
-        1 - (a/b)**k and 1/k for k = 2n + 2.  Pair masses (b**k - a**k) / B**k,
-        B the outer radius, sum to lambda_n / B**k per index, so the
-        normalizers stay finite where lambda_n underflows.
+        Per (index, interval) pair: b, (a/b)**k, 1 - (a/b)**k and 1/k for
+        k = 2n + 2, and the mass (b**k - a**k) / B**k, B the outer radius,
+        divided by its index's sum lambda_n / B**k, so the normalizers stay
+        finite where lambda_n underflows.  A row depends on its index only.
         """
         b = self._b
         k = 2.0 * idx[:, None] + 2.0
@@ -133,20 +146,34 @@ class BergmanSpectrum:
         log_outer = math.log(self.region.outer_radius)
         mass = np.exp(k * (np.log(b) - log_outer)) * gap
         row = mass.sum(axis=1)
-        cum = np.cumsum(mass / row[:, None])
         # log sqrt((n + 1) / (pi lambda_n)) with lambda_n = B**k * row
         log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
-        return table.reshape(-1, 4), cum, log_inv
+        return table, mass / row[:, None], log_inv
 
-    def _sampler_mixture(self, idx: np.ndarray):
-        """_mixture(idx) through a one-entry memo keyed by idx.tobytes().
+    def _mixture(self, idx: np.ndarray):
+        """_rows(idx) as the sampler reads it: the table index-major, one row
+        per (index, interval) pair, and the pair masses cumulated."""
+        table, mass, log_inv = self._rows(idx)
+        return table.reshape(-1, 4), np.cumsum(mass), log_inv
 
-        For the sampler, whose replica loops draw one active set many times;
-        the arrays are shared, so they are read-only.  feature_matrix calls
-        _mixture directly, so no table it builds outlives the call.
+    def _sampler_mixture(self, idx: np.ndarray, n_eigen: int):
+        """_mixture(idx) for active indices idx below n_eigen.
+
+        When n_eigen is the plan's, as in every sample call, the arrays are
+        sliced from the plan's rows for every index below it, built on first
+        use.  Otherwise, as for the verify command's one-point draws on a
+        spectrum with no plan, they come through a one-entry memo keyed by
+        idx.tobytes(), shared and so read-only.  feature_matrix calls _rows
+        directly, so no table it builds outlives the call.
         """
+        # one read of each memo, so a call never pairs one key with another's arrays
+        n, lam, rows = self._plan
+        if n == n_eigen:
+            if rows is None:
+                rows = self._rows(np.arange(n))
+                self._plan = (n, lam, rows)
+            return rows[0][idx].reshape(-1, 4), np.cumsum(rows[1][idx]), rows[2][idx]
         key = idx.tobytes()
-        # one read of the memo, so a call never pairs one key with another's arrays
         memo_key, arrays = self._memo
         if memo_key != key:
             arrays = self._mixture(idx)
@@ -167,10 +194,10 @@ class BergmanSpectrum:
         for p in points:
             if not self.region.contains_point(p):
                 raise DomainError(
-                    f"point {p!r} lies outside the closed region {self.region.literal()}"
+                    f"point {p!r} lies outside the closed region {self._literal}"
                 )
         z = np.array(points, dtype=complex)
-        log_inv = self._mixture(indices)[2]
+        log_inv = self._rows(indices)[2]
         zero = z == 0
         feats = np.empty((z.size, indices.size), dtype=complex)
         feats[~zero] = np.exp(np.multiply.outer(np.log(z[~zero]), indices) + log_inv)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -133,15 +135,22 @@ def test_bernoulli_phase_marginals(disc09):
     assert np.all(np.abs(freq - lam) <= 5.0 * sigma + 1e-12)
 
 
+class BadSpectrum:
+    def eigenvalues(self, n):
+        return np.full(n, 1.5)
+
+
+class NanSpectrum:
+    def eigenvalues(self, n):
+        lam = np.full(n, 0.5)
+        lam[1] = np.nan
+        return lam
+
+
 def test_bernoulli_phase_validation(disc09):
     rng = make_rng(0)
     with pytest.raises(DomainError):
         bernoulli_phase(disc09, 0, rng)
-
-    class BadSpectrum:
-        def eigenvalues(self, n):
-            return np.full(n, 1.5)
-
     with pytest.raises(DomainError):
         bernoulli_phase(BadSpectrum(), 4, rng)
 
@@ -149,16 +158,98 @@ def test_bernoulli_phase_validation(disc09):
 def test_nan_eigenvalue_rejected():
     # a NaN compares False with every uniform, so unchecked it would leave its
     # index silently unselected
-    class NanSpectrum:
-        def eigenvalues(self, n):
-            lam = np.full(n, 0.5)
-            lam[1] = np.nan
-            return lam
-
     with pytest.raises(DomainError):
         bernoulli_phase(NanSpectrum(), 4, make_rng(0))
     with pytest.raises(DomainError):
         mc_count_stats(NanSpectrum(), SamplerConfig(n_eigen=4), reps=10)
+
+
+def _counted_eigenvalues(monkeypatch, corrupt=lambda lam: lam):
+    """Count BergmanSpectrum.eigenvalues calls (their n_eigen), passing each
+    result through corrupt."""
+    calls = []
+    eigenvalues = BergmanSpectrum.eigenvalues
+
+    def counted(self, n_eigen):
+        calls.append(n_eigen)
+        return corrupt(eigenvalues(self, n_eigen))
+
+    monkeypatch.setattr(BergmanSpectrum, "eigenvalues", counted)
+    return calls
+
+
+def test_plan_reused_across_replicas(monkeypatch):
+    # one (spectrum, N) evaluates its eigenvalues once, however many replicas
+    calls = _counted_eigenvalues(monkeypatch)
+    spectrum = BergmanSpectrum.disc(0.9)
+    config = SamplerConfig(beta=5.0, seed=3)
+    confs = [sample(spectrum, config, r) for r in range(20)]
+    assert calls == [22]
+    # another truncation replaces the plan, and coming back rebuilds it
+    for cfg in (SamplerConfig(n_eigen=7, seed=3), config, config):
+        got = sample(spectrum, cfg, 4).to_dict()
+        assert got == sample(BergmanSpectrum.disc(0.9), cfg, 4).to_dict()
+    assert calls == [22, 7, 7, 22, 22, 22]
+    assert sample(spectrum, config, 4).to_dict() == confs[4].to_dict()
+    # the public call still returns a fresh writable array; writing into it,
+    # or trying to write into the plan's, changes no later sample
+    lam = spectrum.eigenvalues(22)
+    assert lam.flags.writeable and lam is not spectrum.eigenvalues(22)
+    lam[:] = 1.0
+    with pytest.raises(ValueError):
+        sampler._eigenvalues(spectrum, 22)[:] = 1.0
+    assert [sample(spectrum, config, r).to_dict() for r in range(20)] == [
+        c.to_dict() for c in confs
+    ]
+
+
+def test_plan_not_stored_for_unchecked_spectra(monkeypatch):
+    # other spectrum types are evaluated and checked on every call
+    for stub in (BadSpectrum(), NanSpectrum()):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                bernoulli_phase(stub, 4, make_rng(0))
+    # a Bergman spectrum whose eigenvalues fail the check stores nothing
+    calls = _counted_eigenvalues(monkeypatch, lambda lam: lam + 1.0)
+    spectrum = BergmanSpectrum.disc(0.9)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            sample(spectrum, SamplerConfig(n_eigen=5), 0)
+    assert calls == [5, 5, 5] and spectrum._plan == (None, None, None)
+
+
+def test_plan_shared_across_threads():
+    # threads sampling one spectrum at two truncations replace each other's
+    # plan; every configuration must still be the one a fresh spectrum gives
+    configs = (SamplerConfig(beta=5.0, seed=2), SamplerConfig(n_eigen=9, seed=2))
+    want = {
+        (c, r): sample(BergmanSpectrum.disc(0.9), c, r).to_dict() for c in configs for r in range(30)
+    }
+    shared = BergmanSpectrum.disc(0.9)
+    wrong = []
+
+    def work(k):
+        for r in range(30):
+            c = configs[(r + k) % 2]
+            try:
+                got = sample(shared, c, r).to_dict()
+            except Exception as exc:  # recorded: a thread's exception would not fail the test
+                got = exc
+            if got != want[c, r]:
+                wrong.append((k, r, got))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_bernoulli_phase_deterministic(disc09):

@@ -11,10 +11,14 @@ from bergman_dpp import (
     BergmanSpectrum,
     DomainError,
     GinibreSpectrum,
+    SamplerConfig,
     bergman_kernel,
+    construct_family,
+    default_truncation,
     disc,
     make_region,
     parse_region_literal,
+    sample,
 )
 
 
@@ -301,17 +305,42 @@ def test_feature_matrix_index_arrays_checked_whole(disc08):
 
 
 def test_sampler_mixture_memo(disc09):
-    # one entry, keyed by the index bytes, read-only; feature_matrix calls
-    # _mixture itself and leaves the entry alone
-    memo = disc09._sampler_mixture(np.arange(3))
-    assert disc09._sampler_mixture(np.arange(3)) is memo
+    # with no plan for n_eigen: one entry, keyed by the index bytes,
+    # read-only; feature_matrix calls _rows itself and leaves the entry alone
+    memo = disc09._sampler_mixture(np.arange(3), 5)
+    assert disc09._sampler_mixture(np.arange(3), 5) is memo
     assert not any(a.flags.writeable for a in memo)
     for got, want in zip(memo, disc09._mixture(np.arange(3))):
         assert np.array_equal(got, want)
     disc09.feature_matrix(np.arange(500), 0.5)
-    assert disc09._sampler_mixture(np.arange(3)) is memo
-    other = disc09._sampler_mixture(np.array([0, 2]))
-    assert other is not memo and disc09._sampler_mixture(np.array([0, 2])) is other
+    assert disc09._sampler_mixture(np.arange(3), 5) is memo
+    other = disc09._sampler_mixture(np.array([0, 2]), 5)
+    assert other is not memo and disc09._sampler_mixture(np.array([0, 2]), 5) is other
+
+
+def test_plan_rows_slice_to_mixture(midpoint_family):
+    # sample slices each active set's table out of the plan's rows for every
+    # index below N; the slice must be the bytes _mixture builds for that set
+    regions = [
+        parse_region_literal(lit)
+        for lit in ("disc:0.9", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95")
+    ]
+    regions += [construct_family(midpoint_family).region, disc(0.98)]
+    rng = np.random.default_rng(12)
+    for region in regions:
+        s = BergmanSpectrum(region)
+        n = default_truncation(s, 5.0)
+        replica = 0
+        while s._plan[2] is None and replica < 1000:  # until a configuration has a point
+            sample(s, SamplerConfig(beta=5.0, seed=1), replica)
+            replica += 1
+        assert s._plan[0] == n and s._plan[2] is not None
+        subsets = [np.arange(n), np.array([0]), np.array([n - 1])]
+        subsets += [np.flatnonzero(rng.random(n) < p) for p in rng.random(20)]
+        for idx in subsets:
+            for got, want in zip(s._sampler_mixture(idx, n), s._mixture(idx)):
+                assert np.array_equal(got, want)
+        assert s._memo == (None, None)  # every table came from the plan
 
 
 # -----------------------------------------------------------------------------
