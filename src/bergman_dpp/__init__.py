@@ -22,20 +22,16 @@ from .errors import (
     RejectionBudgetError,
 )
 from .regions import (
-    BoundaryRegion,
-    ExplicitWeights,
     FamilyBuild,
     FamilySpec,
     GeometricWeights,
     PropertyReport,
     RadialRegion,
-    TraceCheck,
     annulus,
     check_properties,
     construct_family,
     disc,
     family_trace_closed_form,
-    finite_trace_check,
     make_region,
     parse_region_literal,
     region_measure,

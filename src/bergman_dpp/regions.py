@@ -39,16 +39,12 @@ __all__ = [
     "region_trace",
     "parse_region_literal",
     "GeometricWeights",
-    "ExplicitWeights",
     "FamilySpec",
     "FamilyBuild",
     "construct_family",
     "family_trace_closed_form",
     "PropertyReport",
     "check_properties",
-    "BoundaryRegion",
-    "TraceCheck",
-    "finite_trace_check",
 ]
 
 
@@ -163,7 +159,7 @@ def region_trace(region: RadialRegion) -> float:
     Closed form sum of b**2/(1-b**2) - a**2/(1-a**2) per interval; equals
     the expected number of points of the restricted process.
     """
-    return sum(_logit_sq(b) - _logit_sq(a) for a, b in region.intervals)
+    return sum((_logit_sq(b) - _logit_sq(a) for a, b in region.intervals), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +187,6 @@ class GeometricWeights:
         return self.u0 * self.ratio**k / (1.0 - self.ratio)
 
 
-@dataclass(frozen=True)
-class ExplicitWeights:
-    """Finite explicit weight list; the tail beyond the list is zero."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(_as_real(v, "weight", error=RegionError) for v in self.values)
-        object.__setattr__(self, "values", values)
-
-    def term(self, k: int) -> float:
-        if k >= len(self.values):
-            raise RegionError(
-                f"weight index {k} beyond explicit list of length {len(self.values)}"
-            )
-        return self.values[k]
-
-    def total(self) -> float:
-        return math.fsum(self.values)
-
-    def tail_from(self, k: int) -> float:
-        return math.fsum(self.values[k:])
-
-
-Weights = Union[GeometricWeights, ExplicitWeights]
-
 _RULES = ("midpoint", "offset")
 
 
@@ -232,7 +202,7 @@ class FamilySpec:
 
     a0: float
     b0: float
-    weights: Weights
+    weights: GeometricWeights
     count: int
     rule: str = "midpoint"
     theta: float | None = None
@@ -248,19 +218,12 @@ class FamilySpec:
             _as_real(self.theta, "offset rule theta", 0, 1, RegionError)
         elif self.theta is not None:
             raise RegionError("theta is only meaningful for the offset rule")
-        if isinstance(self.weights, ExplicitWeights) and len(self.weights.values) < self.count - 1:
-            raise RegionError(
-                f"count={self.count} needs {self.count - 1} weights, explicit list has "
-                f"{len(self.weights.values)}"
-            )
 
     def contraction(self) -> float:
         """Per-step factor by which the gap to the unit circle shrinks."""
         return 0.5 if self.rule == "midpoint" else 1.0 - float(self.theta)
 
     def literal(self) -> str:
-        if not isinstance(self.weights, GeometricWeights):
-            raise RegionError("only geometric-weight families have a literal form")
         rule = self.rule if self.rule == "midpoint" else f"offset:{self.theta!r}"
         return (
             f"family:a0={self.a0!r},b0={self.b0!r},u0={self.weights.u0!r},"
@@ -381,10 +344,7 @@ def construct_family(spec: FamilySpec) -> FamilyBuild:
 
 
 def family_trace_closed_form(spec: FamilySpec) -> float:
-    """Trace of the full infinite family: seed term plus the total weight.
-
-    Raises for weight sequences without a closed-form total.
-    """
+    """Trace of the full infinite family: seed term plus the total weight."""
     return _logit_sq(spec.b0) - _logit_sq(spec.a0) + spec.weights.total()
 
 
@@ -481,75 +441,13 @@ def check_properties(
     raise DomainError(f"expected RadialRegion, FamilySpec or FamilyBuild, got {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class BoundaryRegion:
-    """Descriptor for a region known to contain every radius in [1 - eps, 1]."""
-
-    eps: float
-
-    def __post_init__(self):
-        _as_real(self.eps, "boundary band width", 0, 1, ends="(]")
-
-
-@dataclass(frozen=True)
-class TraceCheck:
-    finite: bool
-    trace: float | None
-    diagnostic: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def finite_trace_check(obj: Union[RadialRegion, FamilySpec, BoundaryRegion]) -> TraceCheck:
-    """Decide finiteness of the restricted trace from the region description.
-
-    The trace is finite exactly when the region stays away from the unit
-    circle in the trace sense; a region containing a full band [1 - eps, 1]
-    has eigenvalues bounded below by 1 - (1 - eps)**(2n + 2), which sum to
-    infinity.
-    """
-    if isinstance(obj, BoundaryRegion):
-        return TraceCheck(
-            finite=False,
-            trace=None,
-            diagnostic=(
-                f"region contains every radius in [{1.0 - obj.eps}, 1]: eigenvalue n is "
-                f"at least 1 - (1 - {obj.eps})**(2n+2), which tends to 1, so the "
-                "eigenvalue series diverges"
-            ),
-        )
-    if isinstance(obj, FamilySpec):
-        total = family_trace_closed_form(obj)
-        return TraceCheck(
-            finite=True,
-            trace=total,
-            diagnostic=(
-                "summable annulus weights: full-family trace "
-                f"{total!r} = seed term + total weight {obj.weights.total()!r}"
-            ),
-        )
-    if isinstance(obj, RadialRegion):
-        t = region_trace(obj)
-        outer = None if obj.is_empty else obj.outer_radius
-        return TraceCheck(
-            finite=True,
-            trace=t,
-            diagnostic=(
-                f"finitely many intervals with outer radius {outer} < 1; "
-                f"closed-form trace {t!r}"
-            ),
-        )
-    raise DomainError(
-        f"expected RadialRegion, FamilySpec or BoundaryRegion, got {type(obj).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # literals (shared with the CLI)
 
 _FLOAT = r"(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
 _INTERVAL_RE = re.compile(rf"^{_FLOAT}-{_FLOAT}$")
+# every family field; all but the placement rule are required
+_FAMILY_KEYS = ("a0", "b0", "u0", "q", "K", "rule")
 
 
 def parse_region_literal(text: str) -> Union[RadialRegion, FamilySpec]:
@@ -581,8 +479,11 @@ def parse_region_literal(text: str) -> Union[RadialRegion, FamilySpec]:
                 key, eq, value = token.partition("=")
                 if not eq:
                     raise RegionError(f"malformed family field {token!r} in {text!r}")
+                if key in fields or key not in _FAMILY_KEYS:
+                    what = "repeated" if key in fields else "unknown"
+                    raise RegionError(f"{what} family field {key!r} in {text!r}")
                 fields[key] = value
-            missing = {"a0", "b0", "u0", "q", "K"} - fields.keys()
+            missing = set(_FAMILY_KEYS[:-1]) - fields.keys()
             if missing:
                 raise RegionError(f"family literal missing fields {sorted(missing)}")
             rule = fields.get("rule", "midpoint")

@@ -13,9 +13,7 @@ import pytest
 from bergman_dpp import (
     ActiveIndexSet,
     BergmanSpectrum,
-    BoundaryRegion,
     DomainError,
-    ExplicitWeights,
     FamilySpec,
     GeometricWeights,
     GinibreSpectrum,
@@ -151,13 +149,11 @@ REAL_CASES = [
         0.01, (0.0, 1.0), DomainError,
     ),
     ("check_properties.delta", lambda v: check_properties(disc(0.5), v), 0.1, (0.0, _ABOVE_ONE), DomainError),
-    ("BoundaryRegion.eps", BoundaryRegion, 0.1, (0.0, _ABOVE_ONE), DomainError),
     ("disc.radius", disc, 0.5, (0.0, 1.0), RegionError),
     ("annulus.inner", lambda v: annulus(v, 0.9), 0.5, (-0.1, 0.9), RegionError),
     ("annulus.outer", lambda v: annulus(0.5, v), 0.9, (0.5, 1.0), RegionError),
     ("GeometricWeights.u0", lambda v: GeometricWeights(v, 0.5), 0.1, (0.0,), RegionError),
     ("GeometricWeights.ratio", lambda v: GeometricWeights(0.1, v), 0.5, (0.0, 1.0), RegionError),
-    ("ExplicitWeights.values", lambda v: ExplicitWeights((0.1, v)), 0.2, (0.0,), RegionError),
     ("FamilySpec.a0", lambda v: _family(a0=v), 0.2, (0.0, 0.3), RegionError),
     ("FamilySpec.b0", lambda v: _family(b0=v), 0.3, (0.2, 1.0), RegionError),
     ("FamilySpec.theta", lambda v: _family(rule="offset", theta=v), 0.5, (0.0, 1.0), RegionError),

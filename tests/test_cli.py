@@ -251,6 +251,28 @@ def test_region_invalid(capsys):
     assert rc == 1
 
 
+def test_region_family_unknown_field(capsys):
+    # a misspelled rule= must not fall back to the midpoint rule
+    rc, out, err = run(
+        capsys, "region", "--spec", "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rul=offset:0.3"
+    )
+    assert rc == 1
+    assert out == ""
+    assert "unknown family field 'rul'" in err
+
+
+def test_region_empty(capsys):
+    rc, out, _ = run(capsys, "region", "--spec", "intervals:")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["results"][0]["values"] == {"intervals": [], "trace": 0.0, "measure": 0.0}
+    ft = data["results"][-1]
+    assert ft["name"] == "finite-trace"
+    assert ft["values"]["trace"] == 0.0 and isinstance(ft["values"]["trace"], float)
+    assert ft["values"]["diagnostic"].startswith("empty region")
+    assert "None" not in out
+
+
 # -----------------------------------------------------------------------------
 # moduli
 # -----------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Frozen output bytes: SHA-256 digests of sample() reports and of one
-verify report.
+"""Frozen output bytes: SHA-256 digests of sample() reports, of one verify
+report and of region reports.
 
 A (seed, replica) replays byte-identically under SAMPLER_VERSION, so a
 change that only makes the sampler faster must leave every digest here as
@@ -64,6 +64,18 @@ SAMPLE_DIGESTS = {
 }
 # the report file of `verify --reps 5000 --seed 7`
 VERIFY_DIGEST = "99c54f93e053e29f5db2922a860e856d5d9515ca403e7536d221ebc0039fa21e"
+# the report file of `region --spec <literal>`
+REGION_DIGESTS = {
+    "disc:0.9": "6e83f2b749bcde7ad0453a81e68b539127a147a812a6710e03a8bb2a2cfed34a",
+    "annulus:0.5:0.9": "9e197bc134187e314c564fe6f6d899ef495395899666680db62dbdc609a896a7",
+    "intervals:0.1-0.3,0.5-0.7,0.85-0.95": "de558e6218cb217ce5cc60dedac50cf7bf25c952a3881d3ef4ccda3c6aabc3ce",
+    "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rule=midpoint": (
+        "bf403bed0f2e88fac4796e34ccdf0a8b03906d63014730fa6452fba8e8ff8704"
+    ),
+    "family:a0=0.2,b0=0.3,u0=0.05,q=0.4,K=12,rule=offset:0.3": (
+        "c4ebfeaa3c85da7221a5e1b3d48af2d4acd1a55b194e9cc16cb45ff8edb1860f"
+    ),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -87,3 +99,10 @@ def test_verify_report_digest(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--reps", "5000", "--seed", "7", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("literal", sorted(REGION_DIGESTS))
+def test_region_report_digest(literal, tmp_path):
+    out = tmp_path / "region.json"
+    assert main(["region", "--spec", literal, "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == REGION_DIGESTS[literal]

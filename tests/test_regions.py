@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bergman_dpp import (
-    BoundaryRegion,
-    ExplicitWeights,
     FamilySpec,
     GeometricWeights,
     RadialRegion,
@@ -17,7 +15,6 @@ from bergman_dpp import (
     construct_family,
     disc,
     family_trace_closed_form,
-    finite_trace_check,
     make_region,
     parse_region_literal,
     region_measure,
@@ -68,7 +65,7 @@ def test_empty_region():
     reg = make_region([])
     assert reg.is_empty
     assert region_measure(reg) == 0.0
-    assert region_trace(reg) == 0.0
+    assert region_trace(reg) == 0.0 and isinstance(region_trace(reg), float)
     with pytest.raises(RegionError):
         reg.outer_radius
 
@@ -128,17 +125,6 @@ def test_geometric_weights_identities():
         GeometricWeights(-0.1, 0.5)
 
 
-def test_explicit_weights():
-    w = ExplicitWeights((0.3, 0.2, 0.1))
-    assert w.total() == pytest.approx(0.6)
-    assert w.tail_from(1) == pytest.approx(0.3)
-    assert w.tail_from(3) == 0.0
-    with pytest.raises(RegionError):
-        w.term(3)
-    with pytest.raises(RegionError):
-        ExplicitWeights((0.3, 0.0))
-
-
 # -----------------------------------------------------------------------------
 # family construction
 # -----------------------------------------------------------------------------
@@ -154,8 +140,6 @@ def test_family_spec_validation():
         FamilySpec(0.2, 0.3, w, 5, rule="offset")  # needs theta
     with pytest.raises(RegionError):
         FamilySpec(0.2, 0.3, w, 5, theta=0.5)  # theta only with offset
-    with pytest.raises(RegionError):
-        FamilySpec(0.2, 0.3, ExplicitWeights((0.1,)), 5)  # too few weights
 
 
 def test_family_interleaving_and_defects(midpoint_family):
@@ -217,11 +201,15 @@ def test_family_offset_rule():
 
 
 def test_family_explicit_weights_build():
-    spec = FamilySpec(0.2, 0.3, ExplicitWeights((0.2, 0.1, 0.05, 0.02)), 5)
+    # a small family: the four weights it consumes plus the geometric tail
+    # after them give the closed-form trace
+    w = GeometricWeights(0.2, 0.5)
+    spec = FamilySpec(0.2, 0.3, w, 5)
     build = construct_family(spec)
-    assert build.residual_weight == 0.0
-    assert build.materialized_trace == pytest.approx(
-        family_trace_closed_form(spec), abs=1e-12
+    assert len(build.endpoints) == 5 and len(build.region.intervals) == 5
+    assert build.residual_weight == pytest.approx(w.tail_from(4))
+    assert build.materialized_trace + build.residual_weight == pytest.approx(
+        family_trace_closed_form(spec), abs=1e-8
     )
 
 
@@ -262,27 +250,6 @@ def test_check_properties_delta_domain(midpoint_family):
 
 
 # -----------------------------------------------------------------------------
-# finite-trace decision
-# -----------------------------------------------------------------------------
-def test_finite_trace_region():
-    chk = finite_trace_check(disc(0.9))
-    assert chk.finite and chk.trace == pytest.approx(0.81 / 0.19, abs=1e-12)
-
-
-def test_finite_trace_family(midpoint_family):
-    chk = finite_trace_check(midpoint_family)
-    assert chk.finite
-    assert chk.trace == pytest.approx(0.2572344322344322, abs=1e-12)
-
-
-def test_infinite_trace_boundary_band():
-    chk = finite_trace_check(BoundaryRegion(0.05))
-    assert not chk.finite
-    assert chk.trace is None
-    assert "diverges" in chk.diagnostic
-
-
-# -----------------------------------------------------------------------------
 # literals round-trip
 # -----------------------------------------------------------------------------
 @pytest.mark.parametrize(
@@ -310,6 +277,13 @@ def test_family_literal_roundtrip(midpoint_family):
         "intervals:0.1,0.2",
         "family:a0=0.2,b0=0.3",
         "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=x",
+        # an unknown field (a misspelled rule must not fall back to the
+        # midpoint rule) or a repeated one (it must not silently win)
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rul=offset:0.3",
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,theta=0.3",
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,=1",
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,K=3",
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=5,rule=midpoint,rule=offset:0.3",
         "banana:0.5",
         "",
     ],
