@@ -36,7 +36,7 @@ already have drawn the first chunks of the points after the failing one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,9 +334,18 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
     rng = make_rng(config.seed, replica, PHASE_SAMPLE)
     active = bernoulli_phase(spectrum, n_eigen, rng)
     conf = sample_positions(spectrum, active, rng)
+    meta = conf.meta
     return PointConfiguration(
         points=conf.points,
-        meta=replace(conf.meta, seed=config.seed, replica=replica),
+        meta=SampleMeta(
+            region=meta.region,
+            n_eigen=meta.n_eigen,
+            active_indices=meta.active_indices,
+            rejections=meta.rejections,
+            proposals=meta.proposals,
+            seed=config.seed,
+            replica=replica,
+        ),
     )
 
 
@@ -346,9 +355,16 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
 
 def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the moduli set {U_k**(1/(2k)), k = 1..n}, U_k iid uniform."""
-    n = _as_int(n, "count", 1)
+    return _moduli(rng, 1, _as_int(n, "count", 1))[0]
+
+
+def _moduli(rng: np.random.Generator, reps: int, n: int) -> np.ndarray:
+    """reps draws of sample_moduli(n, rng), one per row, from the same stream
+    positions as reps calls in a row."""
     k = np.arange(1, n + 1, dtype=float)
-    return rng.random(n) ** (1.0 / (2.0 * k))
+    u = rng.random((reps, n))
+    u **= 1.0 / (2.0 * k)
+    return u
 
 
 def min_radius_cdf(n: int, x):

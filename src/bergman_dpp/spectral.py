@@ -11,7 +11,8 @@ so the whole spectrum is available exactly, which is what makes exact
 simulation of the restricted determinantal process possible.  The Ginibre
 kernel restricted to a centered disc of radius R has eigenvalues
 P(n+1, R**2) = gamma(n+1, R**2) / n!, the lower regularized incomplete
-gamma, taken from scipy.special.gammainc.
+gamma, taken from scipy.special.gammainc, which loads at the first
+Ginibre eigenvalue rather than with the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError, _as_int, _as_ints, _as_real, _elements
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
@@ -232,10 +232,12 @@ class GinibreSpectrum:
         return f"GinibreSpectrum({self.radius!r})"
 
     def eigenvalue(self, n: int) -> float:
+        from scipy.special import gammainc  # here, not at module level: the package loads numpy only
         n = _as_int(n, "eigenvalue index", 0, _INDEX_END)
         return float(gammainc(n + 1, self.radius * self.radius))
 
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
+        from scipy.special import gammainc
         n_eigen = _as_int(n_eigen, "n_eigen", 0, _ENTRIES_END)
         return gammainc(np.arange(1, n_eigen + 1), self.radius * self.radius)
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
 from .errors import DomainError, _as_int, _as_pair, _as_real, _as_reals, _elements
@@ -122,23 +121,25 @@ def count_pmf(eigenvalues) -> CountDistribution:
     pmf[0] = 1.0
     scratch = np.empty(n + 1)
     top = lo = hi = 0
-    for t in range(n):
-        l = lam[t]
-        if l != 0.0:
-            carry = np.multiply(pmf[lo : hi + 1], l, out=scratch[: hi - lo + 1])
-            pmf[lo : hi + 1] *= 1.0 - l
-            pmf[lo + 1 : hi + 2] += carry
-            top += 1
-            hi += 1
-            # a Poisson-binomial pmf is log-concave, so only its two tails
-            # fall below _TINY
-            while pmf[hi] < _TINY:
-                pmf[hi] = 0.0
-                hi -= 1
-            while pmf[lo] < _TINY:
-                pmf[lo] = 0.0
-                lo += 1
-        if (t + 1) % _RENORM_EVERY == 0:
+    for start in range(0, n, _RENORM_EVERY):
+        # one block at a time as a list: a list of all n takes 32 bytes per entry
+        for l in lam[start : start + _RENORM_EVERY].tolist():
+            if l != 0.0:
+                band = pmf[lo : hi + 1]
+                carry = np.multiply(band, l, scratch[: hi - lo + 1])
+                band *= 1.0 - l
+                pmf[lo + 1 : hi + 2] += carry
+                top += 1
+                hi += 1
+                # a Poisson-binomial pmf is log-concave, so only its two tails
+                # fall below _TINY
+                while pmf.item(hi) < _TINY:
+                    pmf[hi] = 0.0
+                    hi -= 1
+                while pmf.item(lo) < _TINY:
+                    pmf[lo] = 0.0
+                    lo += 1
+        if start + _RENORM_EVERY <= n:
             s = pmf[: top + 1].sum()
             if abs(s - 1.0) > _SUM_GUARD:
                 raise ArithmeticError(f"count pmf mass drifted to {s}")
@@ -212,6 +213,7 @@ def _pearson(name, observed, expected, df, alpha, sample_size, extra) -> GofRepo
     freedom, 2 P^-1(df/2, 1 - alpha) with P the regularized lower incomplete
     gamma: the expression scipy.stats.chi2.ppf evaluates, to the bit.
     """
+    from scipy.special import gammaincinv  # here, not at module level: the package loads numpy only
     statistic = float(((observed - expected) ** 2 / expected).sum())
     threshold = float(2.0 * gammaincinv(df / 2.0, 1.0 - alpha))
     return GofReport(name, statistic, threshold, sample_size, statistic <= threshold, extra)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bergman_dpp
-from bergman_dpp import BergmanSpectrum
+from bergman_dpp import BergmanSpectrum, GinibreSpectrum, count_gof, count_pmf
 
 MODULES = ("bounds", "errors", "regions", "sampler", "spectral", "streams", "verify")
 
@@ -89,3 +90,31 @@ def test_package_does_not_import_scipy_stats():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "", f"scipy.stats modules loaded: {out.split()[:5]}"
+
+
+_GOF_HISTOGRAM = [2, 30, 160, 420, 300, 88]
+_GOF_EIGENVALUES = [0.95, 0.9, 0.7, 0.5, 0.3]
+
+
+def test_package_imports_numpy_alone():
+    # scipy.special and mpmath cost more than half the start-up of every CLI
+    # call; they load at the first chi-square gate or Ginibre eigenvalue and
+    # at the first family construction, and those first calls must still
+    # give the values they give once the modules are loaded
+    src = str(Path(bergman_dpp.__file__).parent.parent)
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import bergman_dpp, bergman_dpp.cli; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')); "
+        "from bergman_dpp import GinibreSpectrum, count_gof, count_pmf; "
+        f"gof = count_gof({_GOF_HISTOGRAM}, count_pmf({_GOF_EIGENVALUES})); "
+        "eig = GinibreSpectrum(1.5).eigenvalues(4).tolist(); "
+        "print(json.dumps({'loaded': loaded, 'gof': gof.to_dict(), 'eig': eig}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    fresh = json.loads(out)
+    assert fresh["loaded"] == [], f"modules loaded on import: {fresh['loaded'][:5]}"
+    gof = count_gof(_GOF_HISTOGRAM, count_pmf(_GOF_EIGENVALUES))
+    assert fresh["gof"] == json.loads(json.dumps(gof.to_dict()))
+    assert fresh["eig"] == GinibreSpectrum(1.5).eigenvalues(4).tolist()
