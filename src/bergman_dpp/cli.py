@@ -27,13 +27,13 @@ from .sampler import (
     PointConfiguration,
     SamplerConfig,
     _moduli,
+    _single_index_points,
     min_radius_cdf,
     sample,
     sample_moduli,
-    sample_positions,
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
-from .streams import PHASE_MODULI, PHASE_SAMPLE, _replica_rngs, make_rng
+from .streams import PHASE_MODULI, make_rng
 from .verify import _ks_gate, bound_audit, count_gof, count_pmf, mc_count_stats
 
 _DELTAS = (0.1, 0.01, 0.001)
@@ -215,10 +215,7 @@ def _cmd_verify(args) -> int:
     ks_reps = max(200, args.reps // 4)
     spec08 = BergmanSpectrum.disc(0.8)
     active = ActiveIndexSet(indices=(0,), n_eigen=1)
-    radii = [
-        abs(sample_positions(spec08, active, rng).points[0])
-        for rng in _replica_rngs(args.seed, range(ks_reps), PHASE_SAMPLE)
-    ]
+    radii = [abs(z) for z in _single_index_points(spec08, active, args.seed, ks_reps).tolist()]
     results.append(_ks_gate("positional-law:disc:0.8:index=0", radii, lambda x: (x / 0.8) ** 2).to_dict())
 
     rng = make_rng(args.seed, 0, PHASE_MODULI)

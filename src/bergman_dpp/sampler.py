@@ -50,7 +50,7 @@ from .errors import (
     _as_reals,
 )
 from .spectral import _INDEX_END, BergmanSpectrum, GinibreSpectrum
-from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, make_rng
+from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _replica_rngs, make_rng
 
 __all__ = [
     "GS_NORM_FLOOR",
@@ -325,6 +325,40 @@ def sample_positions(
     )
     points = tuple(np.exp(np.array(log_points, dtype=complex)).tolist())
     return PointConfiguration(points=points, meta=meta)
+
+
+def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarray:
+    """sample_positions(spectrum, active, make_rng(seed, r, PHASE_SAMPLE)).points[0]
+    for r = 0 .. replicas - 1, as one complex array, the same bits.
+
+    With one active index n the first proposal's acceptance ratio is
+    ||phi_n||**2 / ||phi_n||**2 = 1, above every acceptance uniform, so
+    sample_positions accepts it unless its norm is 0 or not finite, or so
+    near GS_NORM_FLOOR that the rounding of its floor check decides.  Each
+    replica's first row is drawn into one block and evaluated at once; a
+    replica whose row is not such a certain accept goes through
+    sample_positions, with its errors.
+    """
+    if not isinstance(spectrum, BergmanSpectrum):
+        raise DomainError("positional sampling needs a monomial eigenfunction family")
+    if not isinstance(active, ActiveIndexSet) or len(active) != 1:
+        raise DomainError(f"a one-point draw needs one active index, got {active!r}")
+    seed = _as_int(seed, "seed", 0, _SEED_END)
+    replicas = _as_int(replicas, "replicas", 0, _REPLICA_END)
+    idx = np.array(active.indices, dtype=int)
+    u = np.empty((replicas, 4))
+    for row, rng in zip(u, _replica_rngs(seed, range(replicas), PHASE_SAMPLE)):
+        rng.random(out=row)
+    accept, log_z, _, norm_sq, denom = _proposals(
+        u, idx, *spectrum._sampler_mixture(idx, active.n_eigen)
+    )
+    ratio = norm_sq / denom
+    # a norm above twice the floor passes the floor check however vdot rounds
+    certain = (ratio == 1.0) & (accept < ratio) & (norm_sq > 4.0 * GS_NORM_FLOOR**2)
+    points = np.exp(log_z)
+    for r in np.flatnonzero(~certain).tolist():
+        points[r] = sample_positions(spectrum, active, make_rng(seed, r, PHASE_SAMPLE)).points[0]
+    return points
 
 
 def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -> PointConfiguration:

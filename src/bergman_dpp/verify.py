@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
-from .errors import DomainError, _as_int, _as_pair, _as_real, _as_reals, _elements
+from .errors import DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals, _elements
 from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
-from .spectral import BergmanSpectrum
+from .spectral import _INDEX_END, BergmanSpectrum
 from .streams import PHASE_BERNOULLI, _replica_rngs
 
 __all__ = [
@@ -232,8 +232,8 @@ def count_gof(
     obs = _as_reals(histogram, "histogram", 0, ends="[)")
     if obs.ndim != 1 or obs.size == 0:
         raise DomainError("histogram must be a one-dimensional array of counts")
-    for h in obs.tolist():
-        _as_int(h, "histogram count")
+    # after the ndim check: _as_ints flattens what it checks
+    _as_ints(obs, "histogram count", 0, _INDEX_END)
     reps = float(obs.sum())
     if reps <= 0:
         raise DomainError("histogram is empty")

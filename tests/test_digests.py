@@ -1,5 +1,5 @@
-"""Frozen output bytes: SHA-256 digests of sample() reports, of one verify
-report and of region reports.
+"""Frozen output bytes: SHA-256 digests of sample() reports, of two verify
+reports and of region reports.
 
 A (seed, replica) replays byte-identically under SAMPLER_VERSION, so a
 change that only makes the sampler faster must leave every digest here as
@@ -64,6 +64,9 @@ SAMPLE_DIGESTS = {
 }
 # the report file of `verify --reps 5000 --seed 7`
 VERIFY_DIGEST = "99c54f93e053e29f5db2922a860e856d5d9515ca403e7536d221ebc0039fa21e"
+# the report file of `verify --reps 300 --seed 11`: its positional gate
+# draws the floor of 200 replicas, not reps // 4
+VERIFY_FLOOR_DIGEST = "1cd1239e92cdfec6499d3dd1f3082d277f4628eefc23f09dc3a0675ddf0783ff"
 # the report file of `region --spec <literal>`
 REGION_DIGESTS = {
     "disc:0.9": "6e83f2b749bcde7ad0453a81e68b539127a147a812a6710e03a8bb2a2cfed34a",
@@ -99,6 +102,12 @@ def test_verify_report_digest(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--reps", "5000", "--seed", "7", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == VERIFY_DIGEST
+
+
+def test_verify_report_digest_at_replica_floor(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--reps", "300", "--seed", "11", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == VERIFY_FLOOR_DIGEST
 
 
 @pytest.mark.parametrize("literal", sorted(REGION_DIGESTS))

@@ -380,10 +380,11 @@ class _PinnedFirstDraw:
     def __init__(self, row, rng):
         self.row, self.rng = row, rng
 
-    def random(self, shape):
-        rows = self.rng.random(shape)
+    def random(self, shape=None, out=None):
+        rows = self.rng.random(shape, out=out)
         if self.row is not None:
-            rows[0], self.row = self.row, None
+            # a draw into a (4,) out is one row
+            rows.reshape(-1, 4)[0], self.row = self.row, None
         return rows
 
 
@@ -427,6 +428,101 @@ def test_first_point_checks_norm_floor(disc09, monkeypatch):
     active = ActiveIndexSet(indices=(0,), n_eigen=1)
     with pytest.raises(OrthogonalizationError):
         sample_positions(disc09, active, make_rng(1))
+
+
+# -----------------------------------------------------------------------------
+# one-point draws as one block
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "disc:0.8",
+        "annulus:0.5:0.9",
+        "intervals:0.1-0.3,0.5-0.7,0.85-0.95",
+        "disc:0.9995",
+        "annulus:0.99:0.995",
+    ],
+)
+def test_single_index_points_match_sample_positions(literal):
+    # every replica's point has the bits of its own sample_positions call
+    spectrum = BergmanSpectrum(parse_region_literal(literal))
+    for n in (0, 3, 40):
+        active = ActiveIndexSet(indices=(n,), n_eigen=n + 1)
+        for seed in (0, 7):
+            got = sampler._single_index_points(spectrum, active, seed, 300)
+            want = np.array(
+                [
+                    sample_positions(spectrum, active, make_rng(seed, r, PHASE_SAMPLE)).points[0]
+                    for r in range(300)
+                ]
+            )
+            assert got.tobytes() == want.tobytes()
+
+
+def _pin_first_row(monkeypatch, replica, row):
+    """Pin the first proposal row of one replica's stream, in the block and
+    in the replica's own generator alike."""
+    replica_rngs, make = sampler._replica_rngs, sampler.make_rng
+
+    def pinned(r, rng):
+        return _PinnedFirstDraw(row, rng) if r == replica else rng
+
+    monkeypatch.setattr(
+        sampler,
+        "_replica_rngs",
+        lambda seed, reps, phase: map(pinned, reps, replica_rngs(seed, reps, phase)),
+    )
+    monkeypatch.setattr(sampler, "make_rng", lambda seed, r, phase: pinned(r, make(seed, r, phase)))
+    return pinned
+
+
+def test_single_index_points_replay_massless_row(monkeypatch):
+    # replica 3's first proposal sits at the origin, where phi_1 = 0: not a
+    # certain accept, so that replica goes through sample_positions, which
+    # rejects it and accepts from its second chunk
+    spectrum = BergmanSpectrum.disc(0.9)
+    active = ActiveIndexSet(indices=(1,), n_eigen=2)
+    pinned = _pin_first_row(monkeypatch, 3, [0.2, 1.0, 0.3, 0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sampler._single_index_points(spectrum, active, 5, 8)
+        confs = [
+            sample_positions(spectrum, active, pinned(r, make_rng(5, r, PHASE_SAMPLE)))
+            for r in range(8)
+        ]
+    assert confs[3].meta.rejections == (1,)
+    assert got.tobytes() == np.array([c.points[0] for c in confs]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "log_inv, error",
+    [
+        (math.inf, EnvelopeError),
+        (math.nan, EnvelopeError),
+        (math.log(1e-13), OrthogonalizationError),
+    ],
+)
+def test_single_index_points_keep_the_checks(monkeypatch, log_inv, error):
+    # a non-finite norm fails the ratio test, a norm below GS_NORM_FLOOR the
+    # floor check, in the block as in sample_positions
+    _patched_normalizers(monkeypatch, log_inv)
+    active = ActiveIndexSet(indices=(0,), n_eigen=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(error) as seq:
+            sample_positions(BergmanSpectrum.disc(0.9), active, make_rng(1))
+        with pytest.raises(error) as block:
+            sampler._single_index_points(BergmanSpectrum.disc(0.9), active, 1, 10)
+    assert str(block.value) == str(seq.value)
+
+
+def test_single_index_points_validation(disc09):
+    for indices in ((), (0, 1)):
+        with pytest.raises(DomainError):
+            sampler._single_index_points(disc09, ActiveIndexSet(indices, 2), 0, 10)
+    with pytest.raises(DomainError):
+        sampler._single_index_points(GinibreSpectrum(1.0), ActiveIndexSet((0,), 1), 0, 10)
+    with pytest.raises(DomainError):
+        sampler._single_index_points(disc09, (0,), 0, 10)
 
 
 def _piecewise_radial_cdf(intervals, n):
