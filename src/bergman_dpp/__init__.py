@@ -63,6 +63,7 @@ from .verify import (
     ks_critical_value,
     ks_statistic,
     mc_count_stats,
+    verify_gates,
 )
 
 __version__ = "0.1.0"

@@ -33,8 +33,10 @@ __all__ = [
     "build_bound_report",
 ]
 
-# coincidence_probability drops the factors whose eigenvalue sum is below this
+# coincidence_probability's cut-off, block of factors and limit on factors
 _COINCIDENCE_TOL = 1e-12
+_COINCIDENCE_BLOCK = 1 << 20
+_COINCIDENCE_MAX_FACTORS = 1 << 28
 
 
 def truncation_constants(radius: float) -> tuple[float, float]:
@@ -71,16 +73,22 @@ def coincidence_probability(radius: float, n_eigen: int) -> float:
 
     The product is cut once the neglected factors can move the result by
     less than 1e-12 (their eigenvalue sum bounds the effect), and
-    accumulated through log1p to keep precision.
+    accumulated through log1p to keep precision, in blocks of 2**20
+    factors.  A radius so near 1 that more than 2**28 factors remain
+    (R = 1 - 1e-8 at N = 1) raises DomainError.
     """
     radius = _as_real(radius, "disc radius", 0, 1)
     n_eigen = _as_int(n_eigen, "truncation index")
     cap = _COINCIDENCE_TOL * (1.0 - radius) * (1.0 + radius)
     # smallest K with R**(2K+4) < cap
     k_stop = max(n_eigen, math.ceil((math.log(cap) / math.log(radius) - 4.0) / 2.0))
-    ks = np.arange(n_eigen + 1, k_stop + 1)
-    lam = radius ** (2.0 * ks + 2.0)
-    return -math.expm1(float(np.log1p(-lam).sum()))
+    if k_stop - n_eigen > _COINCIDENCE_MAX_FACTORS:
+        raise DomainError(f"radius {radius} too near 1: {k_stop - n_eigen} factors, over 2**28")
+    total = 0.0
+    for start in range(n_eigen + 1, k_stop + 1, _COINCIDENCE_BLOCK):
+        ks = np.arange(start, min(start + _COINCIDENCE_BLOCK, k_stop + 1))
+        total += float(np.log1p(-(radius ** (2.0 * ks + 2.0))).sum())
+    return -math.expm1(total)
 
 
 def chernoff_lower(mean: float, c: float) -> float:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on validation errors, 2 when a verification
 gate fails.  Reports are JSON objects {version, config, results}; point
-and table output can also be CSV with 17 significant digits.
+and table output can also be CSV with 17 significant digits.  `verify`
+writes the rows of verify.verify_gates; this module imports no private name.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from . import __version__
+from .bounds import build_bound_report
 from .errors import BergmanDPPError, DomainError
 from .regions import (
     FamilySpec,
@@ -22,19 +24,10 @@ from .regions import (
     region_measure,
     region_trace,
 )
-from .sampler import (
-    ActiveIndexSet,
-    PointConfiguration,
-    SamplerConfig,
-    _moduli,
-    _single_index_points,
-    min_radius_cdf,
-    sample,
-    sample_moduli,
-)
+from .sampler import PointConfiguration, SamplerConfig, sample, sample_moduli
 from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import PHASE_MODULI, make_rng
-from .verify import _ks_gate, bound_audit, count_gof, count_pmf, mc_count_stats
+from .verify import verify_gates
 
 _DELTAS = (0.1, 0.01, 0.001)
 
@@ -130,8 +123,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import build_bound_report
-
     rep = build_bound_report(args.radius, beta=args.beta, n_eigen=args.n_eigen)
     cfg = {"radius": args.radius, "beta": args.beta, "n_eigen": rep.n_eigen}
     _emit(_report(cfg, [{"name": "bounds", "values": rep.to_dict()}]), args.out)
@@ -203,28 +194,9 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = list(bound_audit())
-
-    spectrum = BergmanSpectrum.disc(0.9)
-    config = SamplerConfig(n_eigen=22, seed=args.seed)
-    stats = mc_count_stats(spectrum, config, args.reps)
-    dist = count_pmf(spectrum.eigenvalues(22))
-    gof = count_gof(stats.histogram, dist, name="count-law:disc:0.9:N=22")
-    results.append(gof.to_dict())
-
-    ks_reps = max(200, args.reps // 4)
-    spec08 = BergmanSpectrum.disc(0.8)
-    active = ActiveIndexSet(indices=(0,), n_eigen=1)
-    radii = [abs(z) for z in _single_index_points(spec08, active, args.seed, ks_reps).tolist()]
-    results.append(_ks_gate("positional-law:disc:0.8:index=0", radii, lambda x: (x / 0.8) ** 2).to_dict())
-
-    rng = make_rng(args.seed, 0, PHASE_MODULI)
-    minima = _moduli(rng, args.reps, 20).min(axis=1)
-    results.append(_ks_gate("min-radius-law:n=20", minima, lambda x: min_radius_cdf(20, x)).to_dict())
-
-    ok = all(r.get("verdict", "pass") == "pass" for r in results)
-    _emit(_report({"reps": args.reps, "seed": args.seed}, results), args.out)
-    return 0 if ok else 2
+    results = verify_gates(args.seed, args.reps)
+    _emit(_report({"reps": args.reps, "seed": args.seed}, list(results)), args.out)
+    return 0 if all(r["verdict"] == "pass" for r in results) else 2
 
 
 def _build_parser() -> _Parser:

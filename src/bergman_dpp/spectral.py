@@ -95,7 +95,11 @@ class BergmanSpectrum:
     def eigenvalues(self, n_eigen: int) -> np.ndarray:
         """Eigenvalues for indices 0 .. n_eigen-1 as a float array."""
         n_eigen = _as_int(n_eigen, "n_eigen", 0, _ENTRIES_END // self._b.size)
-        e = (2.0 * np.arange(n_eigen) + 2.0)[:, None]
+        return self._lambda(np.arange(n_eigen))
+
+    def _lambda(self, idx: np.ndarray) -> np.ndarray:
+        """lambda_n for each index n of the int64 array idx."""
+        e = (2.0 * idx + 2.0)[:, None]
         bp = self._b[None, :] ** e
         ap = self._a[None, :] ** e
         # direct difference is exact-friendly; switch to expm1 only when the
@@ -118,7 +122,7 @@ class BergmanSpectrum:
         return lam
 
     def eigenvalue(self, n: int) -> float:
-        return float(self.eigenvalues(_as_int(n, "eigenvalue index", 0, _INDEX_END) + 1)[-1])
+        return float(self._lambda(np.array([_as_int(n, "eigenvalue index", 0, _INDEX_END)]))[0])
 
     def trace(self) -> float:
         """Exact closed-form trace."""

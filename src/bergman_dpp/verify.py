@@ -24,9 +24,11 @@ import numpy as np
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
 from .errors import DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals, _elements
-from .sampler import PointConfiguration, SamplerConfig, _eigenvalues
+from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
+from .sampler import _eigenvalues, _moduli, _single_index_points
 from .spectral import _INDEX_END, BergmanSpectrum
-from .streams import PHASE_BERNOULLI, _replica_rngs
+from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
+from .streams import _REPLICA_END, _SEED_END, _replica_rngs
 
 __all__ = [
     "CountDistribution",
@@ -40,6 +42,7 @@ __all__ = [
     "ks_critical_value",
     "chernoff_consistency",
     "bound_audit",
+    "verify_gates",
 ]
 
 _RENORM_EVERY = 4096
@@ -432,4 +435,28 @@ def bound_audit() -> tuple[dict, ...]:
                 "verdict": "pass" if all(r["ok"] for r in table) else "fail",
             }
         )
+    return tuple(rows)
+
+
+def verify_gates(seed: int, reps: int) -> tuple[dict, ...]:
+    """The verify command's rows: bound_audit's, then the chi-square gate of
+    reps Bernoulli-phase counts and the KS gates of max(200, reps // 4)
+    one-point draws and of reps minima of 20 moduli, at significance 1e-3,
+    each on its own streams of seed.  seed and reps are checked first."""
+    seed = _as_int(seed, "seed", 0, _SEED_END)
+    reps = _as_int(reps, "reps", 1, _REPLICA_END)
+    rows = list(bound_audit())
+
+    spectrum = BergmanSpectrum.disc(0.9)
+    stats = mc_count_stats(spectrum, SamplerConfig(n_eigen=22, seed=seed), reps)
+    dist = count_pmf(spectrum.eigenvalues(22))
+    rows.append(count_gof(stats.histogram, dist, name="count-law:disc:0.9:N=22").to_dict())
+
+    active = ActiveIndexSet(indices=(0,), n_eigen=1)
+    points = _single_index_points(BergmanSpectrum.disc(0.8), active, seed, max(200, reps // 4))
+    radii = [abs(z) for z in points.tolist()]
+    rows.append(_ks_gate("positional-law:disc:0.8:index=0", radii, lambda x: (x / 0.8) ** 2).to_dict())
+
+    minima = _moduli(make_rng(seed, 0, PHASE_MODULI), reps, 20).min(axis=1)
+    rows.append(_ks_gate("min-radius-law:n=20", minima, lambda x: min_radius_cdf(20, x)).to_dict())
     return tuple(rows)

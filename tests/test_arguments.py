@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman_dpp import verify
 from bergman_dpp import (
     ActiveIndexSet,
     BergmanSpectrum,
@@ -45,6 +46,7 @@ from bergman_dpp import (
     sample_positions,
     sufficiency_margin,
     truncation_constants,
+    verify_gates,
     wasserstein_bound,
 )
 
@@ -112,6 +114,8 @@ INT_CASES = [
     ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,), DomainError),
     ("mc_count_stats.reps", lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0,), DomainError),
     ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
+    ("verify_gates.seed", lambda v: verify_gates(v, 200), 7, (-1, 1 << 64), DomainError),
+    ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1 << 56), DomainError),
     # every integer is a valid count here: below 0 the cdf is 0 and the tail 1
     ("CountDistribution.cdf", DIST.cdf, 2, (), DomainError),
     ("CountDistribution.upper_tail", DIST.upper_tail, 2, (), DomainError),
@@ -253,3 +257,14 @@ def test_count_law_domains_kept():
     assert d.cdf(-1) == 0.0 and d.cdf(-5) == 0.0 and d.cdf(2.0) == 1.0
     assert d.quantile(0) == 0 and d.quantile(1) == 2
     assert min_radius_cdf(3, -1.0) == 0.0 and min_radius_cdf(3, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("seed, reps", [(-1, 200), (7, 0), (7, 1.5), (None, 200)])
+def test_verify_gates_checks_arguments_first(seed, reps, monkeypatch):
+    # a bad seed or replica count fails before the first gate runs
+    def no_gate():
+        raise AssertionError("bound_audit ran before the arguments were checked")
+
+    monkeypatch.setattr(verify, "bound_audit", no_gate)
+    with pytest.raises(DomainError):
+        verify_gates(seed, reps)

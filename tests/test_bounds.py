@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +137,45 @@ def test_coincidence_against_direct_product():
     lam = [r ** (2 * k + 2) for k in range(n + 1, n + 2000)]
     direct = 1.0 - float(np.prod([1.0 - l for l in lam]))
     assert coincidence_probability(r, n) == pytest.approx(direct, rel=1e-10)
+
+
+def _one_array_coincidence(r, n):
+    # every factor in one array: the expression the blocks must reproduce
+    cap = 1e-12 * (1.0 - r) * (1.0 + r)
+    k_stop = max(n, math.ceil((math.log(cap) / math.log(r) - 4.0) / 2.0))
+    ks = np.arange(n + 1, k_stop + 1)
+    return -math.expm1(float(np.log1p(-(r ** (2.0 * ks + 2.0))).sum()))
+
+
+def test_coincidence_bits_kept_within_one_block():
+    for r in (0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
+        for n in (0, 1, 9, 25, 1000, 60_000):
+            got, want = coincidence_probability(r, n), _one_array_coincidence(r, n)
+            # the sign too: an empty product gives -0.0
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (r, n)
+
+
+def test_coincidence_over_several_blocks():
+    # about 1.3e6 factors, two blocks; the result is far from 0 and from 1
+    r, n = 0.99999, 650_000
+    ks = np.arange(n + 1, 2_000_000, dtype=float)
+    direct = -math.expm1(math.fsum(np.log1p(-(r ** (2.0 * ks + 2.0))).tolist()))
+    assert 0.05 < direct < 0.5
+    assert coincidence_probability(r, n) == pytest.approx(direct, rel=1e-12)
+
+
+def test_coincidence_near_one_raises_before_allocating():
+    # R = 1 - 1e-9 needs about 2.4e10 factors, 190 GB as one array
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="radius 0.999999999"):
+            coincidence_probability(1 - 1e-9, 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20
 
 
 def test_coincidence_domain():

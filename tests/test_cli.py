@@ -190,6 +190,13 @@ def test_bounds_validation(capsys):
     assert rc == 1
 
 
+def test_bounds_too_near_one_is_validation_error(capsys):
+    # the coincidence product would need about 2.3e10 factors
+    rc, out, err = run(capsys, "bounds", "--radius", "0.999999999", "--beta", "1")
+    assert rc == 1 and out == ""
+    assert "radius 0.999999999" in err
+
+
 # -----------------------------------------------------------------------------
 # region
 # -----------------------------------------------------------------------------
@@ -305,7 +312,7 @@ def test_verify_gates_pass(capsys):
     assert "positional-law:disc:0.8:index=0" in names
     assert "min-radius-law:n=20" in names
     for r in data["results"]:
-        assert r.get("verdict", "pass") == "pass"
+        assert r["verdict"] == "pass"
 
 
 def test_verify_fails_on_a_wrong_proposal_table(tmp_path, monkeypatch):

@@ -62,6 +62,25 @@ def test_integer_rule_only_in_errors():
     assert not copies, f"integer checks outside errors.py: {copies}"
 
 
+def test_cli_imports_no_private_name():
+    # the CLI parses, calls the library and formats; a private helper it
+    # needs belongs behind a public function of its module (dunders such as
+    # __version__ are public)
+    def is_private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse((Path(bergman_dpp.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bergman_dpp")
+        for alias in node.names
+        if is_private(alias.name) or any(map(is_private, (node.module or "").split(".")))
+    ]
+    assert not private, f"cli.py imports private names: {private}"
+
+
 def test_generators_built_only_in_streams():
     # streams.py is the one place that knows the Philox key layout; a
     # generator built elsewhere would sidestep it

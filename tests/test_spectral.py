@@ -11,6 +11,7 @@ from bergman_dpp import (
     BergmanSpectrum,
     DomainError,
     GinibreSpectrum,
+    RadialRegion,
     SamplerConfig,
     bergman_kernel,
     construct_family,
@@ -121,6 +122,34 @@ def test_disc_eigenvalues_are_powers():
     assert np.array_equal(lam, 0.5 ** (2.0 * np.arange(10) + 2.0))
     assert s.eigenvalue(0) == 0.25
     assert s.eigenvalue(3) == 0.00390625
+
+
+_DIGEST_REGIONS = (
+    "disc:0.9",
+    "annulus:0.5:0.9",
+    "intervals:0.1-0.3,0.5-0.7,0.85-0.95",
+    "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rule=midpoint",
+    "disc:0.98",
+    "disc:0.995",
+)
+
+
+@pytest.mark.parametrize("literal", _DIGEST_REGIONS)
+def test_eigenvalue_is_the_last_of_eigenvalues(literal):
+    # eigenvalue(n) evaluates one term, and keeps the bits of eigenvalues(n + 1)[-1]
+    parsed = parse_region_literal(literal)
+    if not isinstance(parsed, RadialRegion):
+        parsed = construct_family(parsed).region
+    s = BergmanSpectrum(parsed)
+    for n in range(500):
+        assert s.eigenvalue(n) == s.eigenvalues(n + 1)[-1], n
+
+
+def test_eigenvalue_far_index_is_zero():
+    # one term: 2**59 passes the index check and allocates nothing large
+    assert BergmanSpectrum.disc(0.5).eigenvalue(2**59) == 0.0
+    three = BergmanSpectrum(make_region([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]))
+    assert three.eigenvalue(2**63 - 1) == 0.0
 
 
 def test_annulus_eigenvalue_exact_difference():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,8 +27,10 @@ from bergman_dpp import (
     make_rng,
     mc_count_stats,
     sample,
+    verify_gates,
     wasserstein_bound,
 )
+from bergman_dpp.cli import main
 from bergman_dpp.streams import PHASE_BERNOULLI
 from bergman_dpp.verify import _RENORM_EVERY, _pearson
 
@@ -454,3 +457,29 @@ def test_bound_audit_spot_dominance():
     (values,) = [r["values"] for r in bound_audit() if r["name"] == "dominance:R=0.9:beta=2.0"]
     assert values["coupling_tail"] == pytest.approx(coupling_tail(0.9, 9), rel=1e-14)
     assert values["wasserstein_bound"] == pytest.approx(wasserstein_bound(0.9, 2.0), rel=1e-14)
+
+
+# -----------------------------------------------------------------------------
+# the verify command's gates
+# -----------------------------------------------------------------------------
+_GATE_SIZES = {
+    "count-law:disc:0.9:N=22": lambda reps: reps,
+    "positional-law:disc:0.8:index=0": lambda reps: max(200, reps // 4),
+    "min-radius-law:n=20": lambda reps: reps,
+}
+
+
+def test_verify_gates_are_the_command_rows(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--reps", "300", "--seed", "11", "--out", str(out)]) == 0
+    rows = verify_gates(11, 300)
+    assert json.loads(json.dumps(rows)) == json.loads(out.read_text())["results"]
+
+
+@pytest.mark.parametrize("reps", [300, 1000])
+def test_verify_gates_rows_and_replica_rules(reps):
+    rows = verify_gates(5, reps)
+    assert [r["name"] for r in rows] == [r["name"] for r in bound_audit()] + list(_GATE_SIZES)
+    assert all(r["verdict"] in ("pass", "fail") for r in rows)
+    for row in rows[-3:]:
+        assert row["values"]["sample_size"] == _GATE_SIZES[row["name"]](reps)
