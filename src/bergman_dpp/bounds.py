@@ -72,10 +72,10 @@ def coincidence_probability(radius: float, n_eigen: int) -> float:
     """Probability 1 - prod_{k > N} (1 - lambda_k) that truncation misses an index.
 
     The product is cut once the neglected factors can move the result by
-    less than 1e-12 (their eigenvalue sum bounds the effect), and
-    accumulated through log1p to keep precision, in blocks of 2**20
-    factors.  A radius so near 1 that more than 2**28 factors remain
-    (R = 1 - 1e-8 at N = 1) raises DomainError.
+    less than 1e-12 (their eigenvalue sum bounds the effect), and summed in
+    log1p for precision, 2**20 factors at a time, until the log sum is below
+    -40 (the result is then 1.0).  A radius so near 1 that more than 2**28
+    factors remain (R = 1 - 1e-8 at N = 1) raises DomainError.
     """
     radius = _as_real(radius, "disc radius", 0, 1)
     n_eigen = _as_int(n_eigen, "truncation index")
@@ -88,6 +88,8 @@ def coincidence_probability(radius: float, n_eigen: int) -> float:
     for start in range(n_eigen + 1, k_stop + 1, _COINCIDENCE_BLOCK):
         ks = np.arange(start, min(start + _COINCIDENCE_BLOCK, k_stop + 1))
         total += float(np.log1p(-(radius ** (2.0 * ks + 2.0))).sum())
+        if total < -40.0:
+            break  # -expm1 is 1.0 from here on, and every later factor is <= 0
     return -math.expm1(total)
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import poisson
 
 from bergman_dpp import (
     BergmanSpectrum,
@@ -164,6 +165,16 @@ def test_coincidence_over_several_blocks():
     assert coincidence_probability(r, n) == pytest.approx(direct, rel=1e-12)
 
 
+def test_coincidence_stops_once_certain():
+    # R = 1 - 1e-7 at N = 1: about 2.1e8 factors in 205 blocks, but the log
+    # sum passes -40 in the first block, where -expm1 is already 1.0
+    start = time.perf_counter()
+    p = coincidence_probability(0.9999999, 1)
+    elapsed = time.perf_counter() - start
+    assert p == 1.0 and math.copysign(1.0, p) == 1.0
+    assert elapsed < 1.0
+
+
 def test_coincidence_near_one_raises_before_allocating():
     # R = 1 - 1e-9 needs about 2.4e10 factors, 190 GB as one array
     tracemalloc.start()
@@ -228,8 +239,6 @@ def test_chernoff_domain():
 )
 def test_chernoff_poisson_tail_dominance(m, c):
     # the bounds hold for a Poisson(m) count, the extreme determinantal case
-    from scipy.stats import poisson
-
     k_lo = math.floor((1.0 - c) * m)
     k_up = math.ceil((1.0 + c) * m)
     assert poisson.cdf(k_lo, m) <= chernoff_lower(m, c) + 1e-9

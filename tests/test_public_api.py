@@ -119,21 +119,27 @@ def test_package_imports_numpy_alone():
     # scipy.special and mpmath cost more than half the start-up of every CLI
     # call; they load at the first chi-square gate or Ginibre eigenvalue and
     # at the first family construction, and those first calls must still
-    # give the values they give once the modules are loaded
+    # give the values they give once the modules are loaded.  The exact
+    # count law needs numpy alone: its merges are direct convolutions
     src = str(Path(bergman_dpp.__file__).parent.parent)
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import bergman_dpp, bergman_dpp.cli; "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')); "
-        "from bergman_dpp import GinibreSpectrum, count_gof, count_pmf; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')); "
+        "on_import = loaded(); "
+        "from bergman_dpp import BergmanSpectrum, GinibreSpectrum, count_gof, count_pmf; "
+        "count_pmf(BergmanSpectrum.disc(0.9995).eigenvalues(27624)); "
+        "on_count_law = loaded(); "
         f"gof = count_gof({_GOF_HISTOGRAM}, count_pmf({_GOF_EIGENVALUES})); "
         "eig = GinibreSpectrum(1.5).eigenvalues(4).tolist(); "
-        "print(json.dumps({'loaded': loaded, 'gof': gof.to_dict(), 'eig': eig}))"
+        "print(json.dumps({'on_import': on_import, 'on_count_law': on_count_law, "
+        "'gof': gof.to_dict(), 'eig': eig}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     ).stdout
     fresh = json.loads(out)
-    assert fresh["loaded"] == [], f"modules loaded on import: {fresh['loaded'][:5]}"
+    assert fresh["on_import"] == [], f"modules loaded on import: {fresh['on_import'][:5]}"
+    assert fresh["on_count_law"] == [], f"modules loaded by count_pmf: {fresh['on_count_law'][:5]}"
     gof = count_gof(_GOF_HISTOGRAM, count_pmf(_GOF_EIGENVALUES))
     assert fresh["gof"] == json.loads(json.dumps(gof.to_dict()))
     assert fresh["eig"] == GinibreSpectrum(1.5).eigenvalues(4).tolist()

@@ -32,7 +32,7 @@ from bergman_dpp import (
 )
 from bergman_dpp.cli import main
 from bergman_dpp.streams import PHASE_BERNOULLI
-from bergman_dpp.verify import _RENORM_EVERY, _pearson
+from bergman_dpp.verify import _pearson
 
 
 def brute_force_pmf(lam):
@@ -48,14 +48,16 @@ def brute_force_pmf(lam):
 
 
 TINY = np.finfo(float).tiny
+# full_window_pmf's renormalization period, in eigenvalues
+RENORM_EVERY = 4096
 
 
 def full_window_pmf(lam, flush=True):
-    """count_pmf's recursion over the whole window [0, top] at every step,
-    renormalized on the same schedule and, with flush, with every entry below
-    the smallest normal double set to 0.0 after each absorption: the banded
-    recursion must match it to the bit.  Without flush it is the recursion
-    that keeps subnormal probabilities."""
+    """The per-step recursion over the whole window [0, top], renormalized
+    every RENORM_EVERY eigenvalues and, with flush, with every entry below
+    the smallest normal double set to 0.0 after each absorption: up to 64
+    eigenvalues count_pmf must match it to the bit.  Without flush it is the
+    recursion that keeps subnormal probabilities."""
     lam = np.asarray(lam, dtype=float)
     pmf = np.zeros(lam.size + 1)
     pmf[0] = 1.0
@@ -68,7 +70,7 @@ def full_window_pmf(lam, flush=True):
             if flush:
                 window = pmf[: top + 1]
                 window[window < TINY] = 0.0
-        if (t + 1) % _RENORM_EVERY == 0:
+        if (t + 1) % RENORM_EVERY == 0:
             pmf[: top + 1] /= pmf[: top + 1].sum()
     return pmf / pmf.sum()
 
@@ -157,39 +159,52 @@ def test_count_pmf_validation():
         count_pmf([float("nan")])
 
 
-def test_count_pmf_bit_identical_to_full_window():
-    # disc:0.9995 at N=5000: both tails fall below the smallest normal
-    # double and are flushed, so the band is 256..1886
-    lam = BergmanSpectrum.disc(0.9995).eigenvalues(5000)
-    got = count_pmf(lam).pmf
-    nonzero = np.flatnonzero(got)
-    assert (nonzero[0], nonzero[-1]) == (256, 1886)
-    assert got[nonzero].min() >= TINY
-    assert np.array_equal(got, full_window_pmf(lam))
-    for lam in random_spectra():
-        assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
-    for lam in ([1.0, 1.0, 0.5], []):
-        assert np.array_equal(count_pmf(lam).pmf, full_window_pmf(lam))
+def test_count_pmf_bit_identical_to_recursion_within_one_block():
+    # up to 64 eigenvalues the product tree is one leaf: the per-step
+    # recursion with its flush, to the bit
+    short = [lam for lam in random_spectra() if lam.size <= 64]
+    assert len(short) == 11
+    # the five spectra verify_gates reads: the count-law gate's and those of
+    # bound_audit's Chernoff rows
+    gates = [BergmanSpectrum.disc(0.9).eigenvalues(22)] + [
+        BergmanSpectrum.disc(radius).eigenvalues(50) for radius in (0.5, 0.7, 0.9, 0.99)
+    ]
+    for lam in [*short, *gates, [1.0, 1.0, 0.5], []]:
+        got = count_pmf(lam).pmf
+        assert np.array_equal(got, full_window_pmf(lam))
+        assert got[got > 0.0].min() >= TINY
 
 
-def test_count_pmf_flush_changes_only_subnormal_scale_entries():
+def test_count_pmf_product_tree_within_1e13_of_recursion():
     # against the recursion that keeps subnormals: entries from 1e-280 up
-    # are the same bits, the rest moves by less than 1e-280
-    spectra = [BergmanSpectrum.disc(0.9995).eigenvalues(5000), *random_spectra()]
+    # agree to 1e-13 relative, the rest moves by less than 1e-280
+    disc = BergmanSpectrum.disc(0.9995)
+    spectra = [disc.eigenvalues(5000), disc.eigenvalues(27624), *random_spectra()]
     for lam in spectra:
         got, kept = count_pmf(lam).pmf, full_window_pmf(lam, flush=False)
         big = np.maximum(got, kept) >= 1e-280
-        assert np.array_equal(got[big], kept[big])
+        assert np.all(np.abs(got - kept)[big] <= 1e-13 * kept[big])
         assert np.all(np.abs(got - kept)[~big] < 1e-280)
-    # the law acceptance test 09 and the benchmark read: same mean and variance
-    lam = BergmanSpectrum.disc(0.9995).eigenvalues(27624)
-    got, kept = count_pmf(lam), CountDistribution(full_window_pmf(lam, flush=False))
-    assert got.mean() == kept.mean()
-    assert got.variance() == kept.variance()
+        assert got[got > 0.0].min() >= TINY
+    # disc:0.9995 at N=5000: both tails fall below the smallest normal
+    # double and are flushed (count 256 up to 1889 is kept)
+    nonzero = np.flatnonzero(count_pmf(spectra[0]).pmf)
+    assert 200 < nonzero[0] and nonzero[-1] < 2000
+
+
+def test_count_pmf_at_the_certified_truncation_of_disc_099995():
+    # N=299328 is what acceptance 09's search certifies for tail 1e-9
+    lam = BergmanSpectrum.disc(0.99995).eigenvalues(299_328)
+    d = count_pmf(lam)
+    assert len(d) == lam.size + 1
+    assert d.mean() == pytest.approx(math.fsum(lam.tolist()), rel=1e-12)
+    assert d.variance() == pytest.approx(math.fsum((lam * (1.0 - lam)).tolist()), rel=1e-12)
+    assert d.pmf[d.pmf > 0.0].min() >= TINY
 
 
 def test_count_pmf_large_spectrum_stability():
-    # ten thousand eigenvalues exercise the renormalization guard
+    # ten thousand small eigenvalues: 157 leaves of the product tree, and
+    # the mass still within the drift guard
     rng = np.random.default_rng(5)
     lam = rng.random(10_000) * 0.01
     d = count_pmf(lam)
