@@ -28,7 +28,7 @@ from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radi
 from .sampler import _eigenvalues, _moduli, _single_index_points
 from .spectral import _INDEX_END, BergmanSpectrum
 from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
-from .streams import _REPLICA_END, _SEED_END, _replica_rngs
+from .streams import _REPLICA_END, _SEED_END, _replica_uniforms
 
 __all__ = [
     "CountDistribution",
@@ -167,22 +167,17 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     Replica r uses its own counter-keyed stream, so the estimate is
     deterministic given the config seed and any replica can be replayed:
     its count is the size of bernoulli_phase's draw on the same stream.
+    All replicas' uniforms come from streams._replica_uniforms in bounded
+    blocks of rows, so their memory does not grow with reps.
     """
-    reps = _as_int(reps, "reps", 1)
+    reps = _as_int(reps, "reps", 1, _REPLICA_END)
     lam = _eigenvalues(spectrum, config.resolve_truncation(spectrum))
-    counts = np.empty(reps, dtype=np.int64)
-    for r, rng in enumerate(_replica_rngs(config.seed, range(reps), PHASE_BERNOULLI)):
-        counts[r] = np.count_nonzero(rng.random(lam.size) < lam)
-    hist = np.bincount(counts, minlength=lam.size + 1)
-    mean = float(counts.mean())
+    blocks = _replica_uniforms(config.seed, np.arange(reps), PHASE_BERNOULLI, lam.size)
+    counts = np.concatenate([np.count_nonzero(u < lam, axis=1) for u in blocks])
     var = float(counts.var(ddof=1)) if reps > 1 else 0.0
-    return CountStats(
-        mean=mean,
-        variance=var,
-        stderr=math.sqrt(var / reps) if reps > 1 else float("inf"),
-        histogram=hist,
-        reps=reps,
-    )
+    stderr = math.sqrt(var / reps) if reps > 1 else math.inf
+    hist = np.bincount(counts, minlength=lam.size + 1)
+    return CountStats(float(counts.mean()), var, stderr, hist, reps)
 
 
 @dataclass(frozen=True)

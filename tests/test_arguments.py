@@ -112,7 +112,10 @@ INT_CASES = [
     ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,), DomainError),
     ("sufficiency_margin.n_eigen", lambda v: sufficiency_margin(0.5, v), 4, (0,), DomainError),
     ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,), DomainError),
-    ("mc_count_stats.reps", lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0,), DomainError),
+    (
+        "mc_count_stats.reps",
+        lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0, 1 << 56), DomainError,
+    ),
     ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
     ("verify_gates.seed", lambda v: verify_gates(v, 200), 7, (-1, 1 << 64), DomainError),
     ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1 << 56), DomainError),

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergman_dpp import (
     ActiveIndexSet,
@@ -32,7 +33,8 @@ from bergman_dpp import (
 )
 from bergman_dpp import sampler
 from bergman_dpp.sampler import SAMPLER_VERSION
-from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, _replica_rngs
+from bergman_dpp import streams
+from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, _replica_uniforms
 from bergman_dpp.verify import ks_critical_value, ks_statistic
 
 
@@ -461,18 +463,22 @@ def test_single_index_points_match_sample_positions(literal):
 
 
 def _pin_first_row(monkeypatch, replica, row):
-    """Pin the first proposal row of one replica's stream, in the block and
-    in the replica's own generator alike."""
-    replica_rngs, make = sampler._replica_rngs, sampler.make_rng
+    """Pin the first proposal row of one replica's stream, in the block of
+    rows and in the replica's own generator alike."""
+    replica_uniforms, make = sampler._replica_uniforms, sampler.make_rng
 
     def pinned(r, rng):
         return _PinnedFirstDraw(row, rng) if r == replica else rng
 
-    monkeypatch.setattr(
-        sampler,
-        "_replica_rngs",
-        lambda seed, reps, phase: map(pinned, reps, replica_rngs(seed, reps, phase)),
-    )
+    def pinned_rows(seed, replicas, phase, n):
+        replicas = np.asarray(replicas)
+        start = 0
+        for rows in replica_uniforms(seed, replicas, phase, n):
+            rows[replicas[start : start + len(rows)] == replica, :4] = row
+            start += len(rows)
+            yield rows
+
+    monkeypatch.setattr(sampler, "_replica_uniforms", pinned_rows)
     monkeypatch.setattr(sampler, "make_rng", lambda seed, r, phase: pinned(r, make(seed, r, phase)))
     return pinned
 
@@ -793,40 +799,64 @@ def test_streams_validation():
         make_rng(0, 0, 256)
 
 
-def _bit_state(rng):
-    st = rng.bit_generator.state
-    return (
-        st["state"]["counter"].tolist(),
-        st["state"]["key"].tolist(),
-        st["buffer"].tolist(),
-        st["buffer_pos"],
-        st["has_uint32"],
-        st["uinteger"],
-    )
+def _rows_bits(seed, replicas, phase, n):
+    """_replica_uniforms' rows as uint64 bits, with the sizes of its blocks."""
+    blocks = list(_replica_uniforms(seed, replicas, phase, n))
+    return np.concatenate(blocks).view(np.uint64), [len(b) for b in blocks]
+
+
+def _make_rng_bits(seed, replicas, phase, n):
+    return np.array([make_rng(seed, r, phase).random(n) for r in replicas]).view(np.uint64)
 
 
 @pytest.mark.parametrize("phase", [PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI])
-def test_replica_rngs_match_make_rng(phase):
-    # each yield is the fresh make_rng cell, even when the previous replica
-    # left a cached 32-bit half, a partly used block or an advanced counter
-    replicas = [*range(301), (1 << 56) - 1]
-    seen = 0
-    for r, rng in zip(replicas, _replica_rngs(12, replicas, phase)):
-        fresh = make_rng(12, r, phase)
-        assert _bit_state(rng) == _bit_state(fresh)
-        assert np.array_equal(rng.random(64), fresh.random(64))
-        if r % 3 == 0:
-            rng.integers(1 << 32, dtype=np.uint32)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        elif r % 3 == 1:
-            rng.bit_generator.random_raw(3)
-            assert rng.bit_generator.state["buffer_pos"] == 3
-        else:
-            rng.bit_generator.advance(7)
-        seen += 1
-    assert seen == len(replicas)
-    with pytest.raises(DomainError):
-        next(_replica_rngs(12, [1 << 56], phase))
+@pytest.mark.parametrize("seed", [0, 12, (1 << 64) - 1])
+def test_replica_uniforms_match_make_rng(seed, phase):
+    # every row holds the bits of the replica's own make_rng cell, on both
+    # sides of the crossover between the vectorized rounds and the re-keyed
+    # generator, with the replicas out of order
+    replicas = [300, 255, 0, 256, (1 << 56) - 1, 7, 1, 299, *range(8, 40)]
+    for n in (1, 3, 4, 5, 22, 32, 33, 600):
+        got, sizes = _rows_bits(seed, replicas, phase, n)
+        assert got.shape == (len(replicas), n) and sum(sizes) == len(replicas)
+        assert np.array_equal(got, _make_rng_bits(seed, replicas, phase, n))
+
+
+@pytest.mark.parametrize("n", [4, 33])
+def test_replica_uniforms_span_passes(n):
+    # more replicas than one pass holds: several blocks, in replica order
+    replicas = np.arange(9000)[::-1]
+    got, sizes = _rows_bits(5, replicas, PHASE_BERNOULLI, n)
+    assert len(sizes) > 1 and sum(sizes) == 9000
+    picks = [0, 1, sizes[0] - 1, sizes[0], sizes[0] + 1, 8999]
+    assert np.array_equal(got[picks], _make_rng_bits(5, replicas[picks].tolist(), PHASE_BERNOULLI, n))
+    empty = list(_replica_uniforms(5, [], PHASE_BERNOULLI, n))
+    assert [b.shape for b in empty] == [(0, n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, (1 << 56) - 1),
+    st.sampled_from([PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI]),
+    st.integers(1, 70),
+)
+def test_replica_uniforms_property(seed, replica, phase, n):
+    got, _ = _rows_bits(seed, [replica], phase, n)
+    assert np.array_equal(got, _make_rng_bits(seed, [replica], phase, n))
+
+
+@pytest.mark.parametrize("n", [4, 600])
+def test_replica_uniforms_reject_before_first_block(monkeypatch, n):
+    # an out-of-range seed or replica raises before any row is computed
+    def no_rows(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(streams, "_philox_rows", no_rows)
+    monkeypatch.setattr(streams, "make_rng", no_rows)
+    for seed, replicas in [(1 << 64, [0]), (-1, [0]), (0, [0, 1 << 56]), (0, [3, -1])]:
+        with pytest.raises(DomainError):
+            next(_replica_uniforms(seed, replicas, PHASE_BERNOULLI, n))
 
 
 def test_seed_beyond_key_word_rejected(disc09):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_mc_count_stats_ginibre_count_law():
     assert stats.histogram.size == 21
     rep = count_gof(stats.histogram, count_pmf(spectrum.eigenvalues(20)), alpha=1e-3)
     assert rep.passed, rep
+
+
+def test_mc_count_stats_memory_does_not_grow_with_reps(disc09):
+    # the uniforms come in bounded blocks: the whole (100 000, 22) array of
+    # them would take 17.6 MB
+    tracemalloc.start()
+    try:
+        stats = mc_count_stats(disc09, SamplerConfig(n_eigen=22, seed=3), reps=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.histogram.sum() == 100_000
+    assert peak < 8 << 20
 
 
 # -----------------------------------------------------------------------------
