@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return int(code) if isinstance(code, int) else 1
-    except BergmanDPPError as exc:
+    except (BergmanDPPError, OSError) as exc:  # OSError: an --out file that cannot be written
         print(f"bergman-dpp: error: {exc}", file=sys.stderr)
         return 1
 

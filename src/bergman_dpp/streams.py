@@ -9,7 +9,8 @@ every sampled byte.
 Many replicas of one (seed, phase) draw their first n uniforms together:
 a Philox4x64-10 block (Salmon et al., SC 2011) is a pure function of (key,
 counter), so `_replica_uniforms` runs its rounds in uint64 numpy over every
-(replica, block) pair, the bits of each replica's own `make_rng` cell.
+(replica, block) pair, in place in buffers allocated once per pass, the
+bits of each replica's own `make_rng` cell.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ PHASE_MODULI = 2      # radial-law draws
 _SEED_END = 1 << 64
 _REPLICA_END = 1 << 56
 
-# Philox4x64-10 multipliers (shaped for the two products of a round), their
-# 32-bit halves, and key bumps, as numpy's Philox uses them
-_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+# Philox4x64-10 multipliers and key bumps, as numpy's Philox uses them; the
+# multipliers in the order of the words they take after an even number of
+# rounds (row 0) and an odd one (row 1), whole and as 32-bit halves
 _LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_MUL_LO, _MUL_HI, _BUMP = _MUL & _LO, _MUL >> _32, (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[[[0, 1], [1, 0]]]
+_MULS = np.stack((_MUL, _MUL >> _32, _MUL & _LO))[..., None, None]
+_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # rows of up to _VECTOR_ROW uniforms are vectorized (the crossover with the
 # re-keyed loop is about 48), about _PASS_BLOCKS Philox blocks in one pass
 _VECTOR_ROW, _PASS_BLOCKS = 32, 1 << 12
@@ -59,21 +62,42 @@ def _philox_rows(seed: int, replicas: np.ndarray, phase: int, n: int) -> np.ndar
     """make_rng(seed, r, phase).random(n) for each r in replicas, as rows."""
     # numpy's Philox bumps its counter before each block: block c is [c, 0, 0, 0]
     blocks = -(-n // 4)
-    x0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (replicas.size, 1))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    # the seed word bumps as a masked int: a uint64 scalar would warn on wrapping
-    k0, k1 = seed, (replicas.astype(np.uint64) << np.uint64(8) | np.uint64(phase))[:, None]
-    for _ in range(10):
-        # the 128-bit products _MUL * [x0, x2], high and low words, by 32-bit halves
-        b = np.stack((x0, x2))
-        b_lo, b_hi = b & _LO, b >> _32
-        lh, hl = _MUL_LO * b_hi, _MUL_HI * b_lo
-        mid = (_MUL_LO * b_lo >> _32) + (lh & _LO) + (hl & _LO)
-        hi, lo = _MUL_HI * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), _MUL * b
-        x0, x1, x2, x3 = hi[1] ^ x1 ^ np.uint64(k0), lo[1], hi[0] ^ x3 ^ k1, lo[0]
-        k0, k1 = (k0 + _BUMP[0]) & 0xFFFFFFFFFFFFFFFF, k1 + np.uint64(_BUMP[1])
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(replicas.size, 4 * blocks)[:, :n]
-    return (words >> np.uint64(11)) * 2.0**-53
+    # b and c hold the words [x0, x2] and [x1, x3] after an even number of
+    # rounds, [x2, x0] and [x3, x1] after an odd one; the rounds run in place
+    b, c, hi, mid, t, u = np.zeros((6, 2, replicas.size, blocks), dtype=np.uint64)
+    b[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    # full-size multipliers and key words: numpy multiplies and xors two
+    # contiguous uint64 arrays faster than an array and a broadcast one
+    mul, mul_hi, mul_lo = np.broadcast_to(_MULS, (3, 2, *b.shape)).copy()
+    k1 = np.repeat((replicas.astype(np.uint64) << np.uint64(8) | np.uint64(phase))[:, None], blocks, 1)
+    k0 = seed  # bumps as a masked int: a uint64 scalar would warn on wrapping
+    for p in (0, 1) * 5:
+        # the 128-bit products mul[p] * b: low words in b, high words in hi,
+        # from 32-bit halves as in Hacker's Delight's mulhu
+        np.right_shift(b, _32, out=hi)
+        np.bitwise_and(b, _LO, out=mid)
+        b *= mul[p]
+        np.multiply(mid, mul_lo[p], out=t)
+        t >>= _32
+        mid *= mul_hi[p]
+        mid += t
+        np.bitwise_and(mid, _LO, out=t)
+        mid >>= _32
+        t += np.multiply(hi, mul_lo[p], out=u)
+        t >>= _32
+        hi *= mul_hi[p]
+        hi += mid
+        hi += t
+        # x0 = hi(x2) ^ x1 ^ k0 and x2 = hi(x0) ^ x3 ^ k1, in swapped order
+        hi[0] ^= c[1]
+        hi[1] ^= c[0]
+        hi[1 - p] ^= np.uint64(k0)
+        hi[p] ^= k1
+        b, c, hi = hi, b, c
+        k0 = (k0 + _BUMP[0]) & 0xFFFFFFFFFFFFFFFF
+        k1 += np.uint64(_BUMP[1])
+    words = np.stack((b[0], c[0], b[1], c[1]), axis=-1).reshape(replicas.size, 4 * blocks)
+    return np.right_shift(words, np.uint64(11), out=words)[:, :n] * 2.0**-53
 
 
 def _replica_uniforms(seed: int, replicas, phase: int, n: int):

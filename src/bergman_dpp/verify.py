@@ -3,10 +3,11 @@
 The count of the restricted process is a sum of independent Bernoulli
 variables, one per eigenvalue, so its law is an exact Poisson-binomial,
 computed here through a product tree: the laws of blocks of 64 eigenvalues
-are built side by side by the per-step recursion and merged pairwise by
-direct convolution, with every entry below the smallest normal double
-flushed to 0.0 (no reported statistic sees a probability below 2.2e-308,
-and subnormal arithmetic is slow).  That oracle anchors everything else:
+are built side by side by the per-step recursion, in place in one
+contiguous array, and merged pairwise by direct convolution, one tree level
+at a time, with every entry below the smallest normal double flushed to 0.0
+(no reported statistic sees a probability below 2.2e-308, and subnormal
+arithmetic is slow).  That oracle anchors everything else:
 chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits, and the
 dominance chain of the truncation bounds.  All gates run at a fixed
 significance and a fixed seed; a verdict is a pure comparison of statistic
@@ -53,6 +54,7 @@ _AUDIT_RADII = (0.5, 0.7, 0.9, 0.99)
 _AUDIT_BETAS = (1.0, 2.0, 3.0, 5.0)
 _AUDIT_N = 50
 _AUDIT_CS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+_GATE_REPS = 13  # below it count_gof finds one cell in reps * pmf of verify_gates' N=22 law
 
 
 class CountDistribution:
@@ -105,11 +107,14 @@ def count_pmf(eigenvalues) -> CountDistribution:
 
     A product tree: the laws of blocks of 64 eigenvalues are built side by
     side, one eigenvalue per step (x * (1 - l) + y * l, the per-step
-    recursion), then merged pairwise by direct convolution, never an FFT,
-    whose absolute error would wipe out the tails the Chernoff rows read.
+    recursion) on a (65, blocks) array whose column r is block r's law,
+    then merged pairwise by direct convolution, never an FFT, whose
+    absolute error would wipe out the tails the Chernoff rows read.
     Entries below the smallest normal double are set to 0.0 after each step
-    and each merge, and a merged law keeps only the span of the rest (a
-    Poisson-binomial pmf is log-concave, so only its two tails fall below).
+    and after each level of merges (all its products at once), and a merged
+    law keeps only the span of the rest (a Poisson-binomial pmf is
+    log-concave, so only its two tails fall below); a product with no entry
+    left is an ArithmeticError.
 
     Count-law contract "tree-64": up to 64 eigenvalues the pmf is bit-equal
     to the flushed per-step recursion divided once by its sum; above 64 only
@@ -120,27 +125,21 @@ def count_pmf(eigenvalues) -> CountDistribution:
     if lam.ndim != 1:
         raise DomainError("eigenvalues must form a one-dimensional sequence")
     n = lam.size
-    width = min(_BLOCK, n)
-    rows = max(1, -(-n // _BLOCK))
-    # padding with 0.0 changes no bits: x * (1.0 - 0.0) + 0.0 * y == x
-    block = np.pad(lam, (0, rows * width - n)).reshape(rows, width)
-    laws = np.zeros((rows, width + 1))
-    laws[:, 0] = 1.0
-    for i in range(width):
-        l = block[:, i : i + 1]
-        carry = laws[:, : i + 1] * l
-        laws[:, : i + 1] *= 1.0 - l
-        laws[:, 1 : i + 2] += carry
-        window = laws[:, : i + 2]
-        window[window < _TINY] = 0.0
-    tree = [(law, 0) for law in laws]  # (law, the count its first entry stands for)
+    tree = [(law, 0) for law in _leaf_laws(lam)]  # (law, the count its first entry stands for)
     while len(tree) > 1:
-        merged = []
-        for (a, i), (b, j) in zip(tree[::2], tree[1::2]):
-            law = np.convolve(a, b)
-            law[law < _TINY] = 0.0
-            kept = np.flatnonzero(law)
-            merged.append((law[kept[0] : kept[-1] + 1], i + j + int(kept[0])))
+        # one level: every pair's product, then one flush and one cut to spans
+        pairs = list(zip(tree[::2], tree[1::2]))
+        sizes = np.array([a.size + b.size - 1 for (a, _), (b, _) in pairs])
+        starts = np.cumsum(sizes) - sizes
+        level = np.concatenate([np.convolve(a, b) for (a, _), (b, _) in pairs])
+        np.copyto(level, 0.0, where=level < _TINY)
+        kept = np.flatnonzero(level)
+        lo, hi = np.searchsorted(kept, starts), np.searchsorted(kept, starts + sizes)
+        if np.any(lo == hi):
+            raise ArithmeticError("a product of count laws lost all its mass")
+        # (first kept entry, last kept entry, start) of each product
+        spans = zip(kept[lo].tolist(), kept[hi - 1].tolist(), starts.tolist(), pairs)
+        merged = [(level[f : e + 1], i + j + f - s) for f, e, s, ((_, i), (_, j)) in spans]
         tree = merged + tree[2 * len(merged) :]
     law, offset = tree[0]
     pmf = np.zeros(n + 1)
@@ -150,6 +149,26 @@ def count_pmf(eigenvalues) -> CountDistribution:
         raise ArithmeticError(f"count pmf mass drifted to {s}")
     pmf /= s
     return CountDistribution(pmf)
+
+
+def _leaf_laws(lam: np.ndarray) -> np.ndarray:
+    """The flushed per-step laws of blocks of 64 eigenvalues, one per row."""
+    width = min(_BLOCK, lam.size)
+    rows = max(1, -(-lam.size // _BLOCK))
+    # padding with 0.0 changes no bits: x * (1.0 - 0.0) + 0.0 * y == x;
+    # column r of block and laws is leaf r, so each step reads leading rows
+    block = np.pad(lam, (0, rows * width - lam.size)).reshape(rows, width).T.copy()
+    stay = 1.0 - block
+    laws, carry = np.zeros((2, width + 1, rows))
+    mask = np.empty((width + 1, rows), dtype=bool)
+    laws[0] = 1.0
+    for i in range(width):
+        np.multiply(laws[: i + 1], block[i], out=carry[: i + 1])
+        laws[: i + 1] *= stay[i]
+        laws[1 : i + 2] += carry[: i + 1]
+        window = laws[: i + 2]
+        np.copyto(window, 0.0, where=np.less(window, _TINY, out=mask[: i + 2]))
+    return laws.T.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +454,10 @@ def verify_gates(seed: int, reps: int) -> tuple[dict, ...]:
     """The verify command's rows: bound_audit's, then the chi-square gate of
     reps Bernoulli-phase counts and the KS gates of max(200, reps // 4)
     one-point draws and of reps minima of 20 moduli, at significance 1e-3,
-    each on its own streams of seed.  seed and reps are checked first."""
+    each on its own streams of seed.  seed and reps are checked first;
+    below 13 reps the chi-square gate would have one cell."""
     seed = _as_int(seed, "seed", 0, _SEED_END)
-    reps = _as_int(reps, "reps", 1, _REPLICA_END)
+    reps = _as_int(reps, "reps", _GATE_REPS, _REPLICA_END)
     rows = list(bound_audit())
 
     spectrum = BergmanSpectrum.disc(0.9)

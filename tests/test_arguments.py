@@ -118,7 +118,8 @@ INT_CASES = [
     ),
     ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
     ("verify_gates.seed", lambda v: verify_gates(v, 200), 7, (-1, 1 << 64), DomainError),
-    ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1 << 56), DomainError),
+    # below 13 replicas the count-law gate has fewer than two cells
+    ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1, 12, 1 << 56), DomainError),
     # every integer is a valid count here: below 0 the cdf is 0 and the tail 1
     ("CountDistribution.cdf", DIST.cdf, 2, (), DomainError),
     ("CountDistribution.upper_tail", DIST.upper_tail, 2, (), DomainError),
@@ -262,7 +263,7 @@ def test_count_law_domains_kept():
     assert min_radius_cdf(3, -1.0) == 0.0 and min_radius_cdf(3, 2.0) == 1.0
 
 
-@pytest.mark.parametrize("seed, reps", [(-1, 200), (7, 0), (7, 1.5), (None, 200)])
+@pytest.mark.parametrize("seed, reps", [(-1, 200), (7, 0), (7, 1.5), (7, 12), (None, 200)])
 def test_verify_gates_checks_arguments_first(seed, reps, monkeypatch):
     # a bad seed or replica count fails before the first gate runs
     def no_gate():

@@ -109,6 +109,18 @@ def test_sample_to_file(tmp_path, capsys):
     assert text.startswith("re,im\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [("sample", "--region", "disc:0.5", "--n-eigen", "3"), ("verify", "--reps", "300")]
+)
+def test_unwritable_out_is_a_validation_error(argv, tmp_path, capsys):
+    # a directory that does not exist: exit 1 with one error line, no traceback
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 1 and out == ""
+    assert err.startswith("bergman-dpp: error:") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_sample_report_names_stream_version(capsys):
     rc, out, _ = run(
         capsys, "sample", "--region", "disc:0.9", "--n-eigen", "9", "--format", "json"

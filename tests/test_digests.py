@@ -1,5 +1,6 @@
 """Frozen output bytes: SHA-256 digests of sample() reports, of two verify
-reports and of region reports.
+reports, of region reports and of count_pmf laws above one 64-eigenvalue
+block of its product tree.
 
 A (seed, replica) replays byte-identically under SAMPLER_VERSION, so a
 change that only makes the sampler faster must leave every digest here as
@@ -12,12 +13,14 @@ import hashlib
 import json
 
 import pytest
+from test_verify import random_spectra
 
 from bergman_dpp import (
     BergmanSpectrum,
     FamilySpec,
     SamplerConfig,
     construct_family,
+    count_pmf,
     parse_region_literal,
     sample,
 )
@@ -80,6 +83,18 @@ REGION_DIGESTS = {
     ),
 }
 
+# count_pmf(disc(radius).eigenvalues(n)).pmf.tobytes(), count-law contract
+# "tree-64": 65 is two leaves, 192 carries an odd leaf up a level
+COUNT_PMF_DIGESTS = {
+    (0.9995, 65): "b0c603cf4b1991106e4dfd9a2ed055a17e563c620774f8201eac7f429f89e177",
+    (0.9995, 192): "13f8d47741646ee168cdddf6d7cdb9862aa70ddfb50812270088c5f8dde91033",
+    (0.9995, 5000): "904de769ed891807e9c27edf0a4eb50d76494442ea4fcaad87e596cc2cd5cf9b",
+    (0.9995, 27624): "b96e7b5bd68e9d47e5fa6174d940ac9eb46ffc5723e82cad45de01f2859cf9f7",
+    (0.99995, 299_328): "0e53afc5dbcc02a4230d78453fd200635b4115ce1f43ba0e3a64f59836083d62",
+}
+# the pmf bytes of each random_spectra() law longer than 64, in order
+RANDOM_COUNT_PMF_DIGEST = "0d6e0127e56f1643216d90fc1913ad1f493dc0e35b784bbd5ef1936fe744145c"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -115,3 +130,18 @@ def test_region_report_digest(literal, tmp_path):
     out = tmp_path / "region.json"
     assert main(["region", "--spec", literal, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == REGION_DIGESTS[literal]
+
+
+@pytest.mark.parametrize("radius, n", sorted(COUNT_PMF_DIGESTS))
+def test_count_pmf_digest(radius, n):
+    pmf = count_pmf(BergmanSpectrum.disc(radius).eigenvalues(n)).pmf
+    assert _sha256(pmf.tobytes()) == COUNT_PMF_DIGESTS[radius, n]
+
+
+def test_count_pmf_digest_of_random_spectra():
+    digest = hashlib.sha256()
+    long = [lam for lam in random_spectra() if lam.size > 64]
+    assert len(long) == 29
+    for lam in long:
+        digest.update(count_pmf(lam).pmf.tobytes())
+    assert digest.hexdigest() == RANDOM_COUNT_PMF_DIGEST

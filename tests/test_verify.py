@@ -31,6 +31,7 @@ from bergman_dpp import (
     verify_gates,
     wasserstein_bound,
 )
+from bergman_dpp import verify
 from bergman_dpp.cli import main
 from bergman_dpp.streams import PHASE_BERNOULLI
 from bergman_dpp.verify import _pearson
@@ -201,6 +202,30 @@ def test_count_pmf_at_the_certified_truncation_of_disc_099995():
     assert d.mean() == pytest.approx(math.fsum(lam.tolist()), rel=1e-12)
     assert d.variance() == pytest.approx(math.fsum((lam * (1.0 - lam)).tolist()), rel=1e-12)
     assert d.pmf[d.pmf > 0.0].min() >= TINY
+
+
+def test_count_pmf_product_without_mass_raises(monkeypatch):
+    # with the flush threshold raised to 0.08, the first pair of leaves (64
+    # eigenvalues of 0.5 each) keeps a few entries near 0.09 but their product
+    # none, while the second pair's product is [1.0]: the first must raise,
+    # not take its neighbour's span
+    monkeypatch.setattr(verify, "_TINY", 0.08)
+    with pytest.raises(ArithmeticError, match="lost all its mass"):
+        count_pmf([0.5] * 128 + [0.0] * 128)
+
+
+def test_count_pmf_memory_at_the_certified_truncation():
+    # the leaves and one level of products at a time: 14.0 MB at N=299328
+    # before the per-level flush and 14.1 MB after; a copy of the leaf
+    # buffers kept through the merges took 22 MB
+    lam = BergmanSpectrum.disc(0.99995).eigenvalues(299_328)
+    tracemalloc.start()
+    try:
+        count_pmf(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 << 20
 
 
 def test_count_pmf_large_spectrum_stability():
@@ -512,3 +537,23 @@ def test_verify_gates_rows_and_replica_rules(reps):
     assert all(r["verdict"] in ("pass", "fail") for r in rows)
     for row in rows[-3:]:
         assert row["values"]["sample_size"] == _GATE_SIZES[row["name"]](reps)
+
+
+def test_verify_gates_reps_floor_is_the_count_gate_floor():
+    # count_gof merges cells by reps * pmf alone, so the floor is the first
+    # reps whose histogram of the N=22 law has two cells, for any counts
+    dist = count_pmf(BergmanSpectrum.disc(0.9).eigenvalues(22))
+
+    def cells(reps):
+        try:
+            return count_gof(np.bincount([1], minlength=23) * reps, dist).extra["cells"]
+        except DomainError as exc:
+            assert "fewer than two cells" in str(exc)
+            return 1
+
+    tested = [cells(reps) >= 2 for reps in range(1, 3000)]
+    floor = tested.index(True) + 1
+    assert floor == 13 and all(tested[floor - 1 :])
+    with pytest.raises(DomainError, match="^reps must be"):
+        verify_gates(7, floor - 1)
+    assert verify_gates(7, floor)[-3]["values"]["cells"] == 2
