@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DomainError, _as_int, _as_real
 from .regions import disc, region_trace
-from .sampler import default_truncation
-from .spectral import BergmanSpectrum
 
 __all__ = [
     "truncation_constants",
@@ -48,10 +46,10 @@ def truncation_constants(radius: float) -> tuple[float, float]:
 
 
 def default_bound_truncation(radius: float, beta: float) -> int:
-    """ceil(beta * N_R), the truncation index the exponential bound assumes:
-    the sampler's default_truncation on the disc of that radius."""
-    radius = _as_real(radius, "disc radius", 0, 1)
-    return default_truncation(BergmanSpectrum.disc(radius), beta)
+    """max(1, ceil(beta * N_R)), the truncation index the exponential bound
+    assumes: the sampler's default_truncation on the disc of that radius."""
+    n_r, _ = truncation_constants(radius)
+    return max(1, math.ceil(_as_real(beta, "beta") * n_r))
 
 
 def wasserstein_bound(radius: float, beta: float) -> float:

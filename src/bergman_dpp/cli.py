@@ -79,6 +79,8 @@ def parse_sample_report(text: str) -> PointConfiguration:
 
 
 def _cmd_sample(args) -> int:
+    if args.beta is None and args.n_eigen is None:
+        args.beta = 5.0
     config = SamplerConfig(beta=args.beta, n_eigen=args.n_eigen, seed=args.seed)
     spectrum = _bergman_spectrum(args.region)
     conf = sample(spectrum, config, replica=args.replica)
@@ -255,8 +257,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sample" and args.beta is None and args.n_eigen is None:
-            args.beta = 5.0
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

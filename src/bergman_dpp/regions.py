@@ -392,53 +392,34 @@ def check_properties(
 
     if isinstance(obj, FamilyBuild):
         import mpmath as mp
-        spec = obj.spec
-        thr = mp.mpf(1) - mp.mpf(delta)
-        witness_index = None
-        for j, (a, b) in enumerate(obj.endpoints):
-            # [a, b] meets (1 - delta, 1) on (max(a, 1-delta), b], open iff b > 1 - delta
-            if b > thr:
-                witness_index = j
-                break
-        measure = float(
-            mp.pi * mp.fsum((b - a) * (b + a) for a, b in obj.endpoints)
-        )
-        contraction = spec.contraction()
+        spec, endpoints = obj.spec, obj.endpoints
+        threshold = mp.mpf(1) - mp.mpf(delta)
+        measure = float(mp.pi * mp.fsum((b - a) * (b + a) for a, b in endpoints))
         gap0 = 1.0 - spec.b0
-        if delta >= gap0:
-            predicted = 0
-        else:
-            predicted = math.ceil(math.log(gap0 / delta) / math.log(1.0 / contraction))
-        return PropertyReport(
-            delta=delta,
-            horizon=spec.count,
-            witness_found=witness_index is not None,
-            witness_index=witness_index,
-            predicted_witness_index=predicted,
-            measure=measure,
-            measure_margin=math.pi - measure,
-            rule_forces_boundary_contact=True,
-        )
+        predicted = 0
+        if delta < gap0:
+            predicted = math.ceil(math.log(gap0 / delta) / math.log(1.0 / spec.contraction()))
+        horizon, contact = spec.count, True
+    elif isinstance(obj, RadialRegion):
+        endpoints, threshold = obj.intervals, 1.0 - delta
+        measure, predicted = region_measure(obj), None
+        horizon, contact = len(endpoints), None
+    else:
+        kind = type(obj).__name__
+        raise DomainError(f"expected RadialRegion, FamilySpec or FamilyBuild, got {kind}")
 
-    if isinstance(obj, RadialRegion):
-        witness_index = None
-        for j, (a, b) in enumerate(obj.intervals):
-            if b > 1.0 - delta:
-                witness_index = j
-                break
-        measure = region_measure(obj)
-        return PropertyReport(
-            delta=delta,
-            horizon=len(obj.intervals),
-            witness_found=witness_index is not None,
-            witness_index=witness_index,
-            predicted_witness_index=None,
-            measure=measure,
-            measure_margin=math.pi - measure,
-            rule_forces_boundary_contact=None,
-        )
-
-    raise DomainError(f"expected RadialRegion, FamilySpec or FamilyBuild, got {type(obj).__name__}")
+    # [a, b] meets (1 - delta, 1) on (max(a, 1-delta), b], open iff b > 1 - delta
+    witness = next((j for j, (_, b) in enumerate(endpoints) if b > threshold), None)
+    return PropertyReport(
+        delta=delta,
+        horizon=horizon,
+        witness_found=witness is not None,
+        witness_index=witness,
+        predicted_witness_index=predicted,
+        measure=measure,
+        measure_margin=math.pi - measure,
+        rule_forces_boundary_contact=contact,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,7 @@ class CountDistribution:
         return float(np.arange(len(self.pmf)) @ self.pmf)
 
     def variance(self) -> float:
-        k = np.arange(len(self.pmf))
-        mu = self.mean()
-        return float(((k - mu) ** 2) @ self.pmf)
+        return self.moment(2)
 
     def moment(self, order: int, central: bool = True) -> float:
         k = np.arange(len(self.pmf), dtype=float)
@@ -199,6 +197,11 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     return CountStats(float(counts.mean()), var, stderr, hist, reps)
 
 
+def _row(name: str, values: dict, ok: bool) -> dict:
+    """One report row: {name, values, verdict}."""
+    return {"name": name, "values": values, "verdict": "pass" if ok else "fail"}
+
+
 @dataclass(frozen=True)
 class GofReport:
     """One statistical gate: a statistic, its threshold, and the verdict."""
@@ -218,7 +221,7 @@ class GofReport:
         }
         if self.extra:
             values.update(self.extra)
-        return {"name": self.name, "values": values, "verdict": "pass" if self.passed else "fail"}
+        return _row(self.name, values, self.passed)
 
 
 def _pearson(name, observed, expected, df, alpha, sample_size, extra) -> GofReport:
@@ -430,23 +433,12 @@ def bound_audit() -> tuple[dict, ...]:
                 rep.coincidence_probability <= rep.coupling_tail + 1e-12
                 and rep.coupling_tail <= rep.wasserstein_bound + 1e-12
             )
-            rows.append(
-                {
-                    "name": f"dominance:R={radius}:beta={beta}",
-                    "values": rep.to_dict(),
-                    "verdict": "pass" if ok else "fail",
-                }
-            )
+            rows.append(_row(f"dominance:R={radius}:beta={beta}", rep.to_dict(), ok))
     for radius in _AUDIT_RADII:
         lam = BergmanSpectrum.disc(radius).eigenvalues(_AUDIT_N)
         table = chernoff_consistency(count_pmf(lam), _AUDIT_CS)
-        rows.append(
-            {
-                "name": f"chernoff:R={radius}:N={_AUDIT_N}",
-                "values": {"rows": table},
-                "verdict": "pass" if all(r["ok"] for r in table) else "fail",
-            }
-        )
+        ok = all(r["ok"] for r in table)
+        rows.append(_row(f"chernoff:R={radius}:N={_AUDIT_N}", {"rows": table}, ok))
     return tuple(rows)
 
 

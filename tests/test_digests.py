@@ -1,6 +1,6 @@
 """Frozen output bytes: SHA-256 digests of sample() reports, of two verify
-reports, of region reports and of count_pmf laws above one 64-eigenvalue
-block of its product tree.
+reports, of region, bounds and CLI sample reports and of count_pmf laws
+above one 64-eigenvalue block of its product tree.
 
 A (seed, replica) replays byte-identically under SAMPLER_VERSION, so a
 change that only makes the sampler faster must leave every digest here as
@@ -82,6 +82,17 @@ REGION_DIGESTS = {
         "c4ebfeaa3c85da7221a5e1b3d48af2d4acd1a55b194e9cc16cb45ff8edb1860f"
     ),
 }
+# the report file of `bounds ...`, one with beta and one with n_eigen
+BOUNDS_DIGESTS = {
+    ("--radius", "0.9", "--beta", "2"): (
+        "b08c3de3e517fb215d6d4457e01ab051d275a66e155cb5d1f98badaf27284075"
+    ),
+    ("--radius", "0.99", "--n-eigen", "50"): (
+        "59b153684efef3e005136ba8f38869b46c93f40625a4230c10e325700b63f8e8"
+    ),
+}
+# the report file of `sample --region disc:0.9 --format json`, default beta
+CLI_SAMPLE_DIGEST = "42e433574b101f88fc6e826378def7d23c6c9246719f7e646a7c29705d7bf647"
 
 # count_pmf(disc(radius).eigenvalues(n)).pmf.tobytes(), count-law contract
 # "tree-64": 65 is two leaves, 192 carries an odd leaf up a level
@@ -130,6 +141,19 @@ def test_region_report_digest(literal, tmp_path):
     out = tmp_path / "region.json"
     assert main(["region", "--spec", literal, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == REGION_DIGESTS[literal]
+
+
+@pytest.mark.parametrize("args", sorted(BOUNDS_DIGESTS))
+def test_bounds_report_digest(args, tmp_path):
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", *args, "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == BOUNDS_DIGESTS[args]
+
+
+def test_cli_sample_report_digest(tmp_path):
+    out = tmp_path / "sample.json"
+    assert main(["sample", "--region", "disc:0.9", "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == CLI_SAMPLE_DIGEST
 
 
 @pytest.mark.parametrize("radius, n", sorted(COUNT_PMF_DIGESTS))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -118,6 +119,30 @@ def test_sample_meta_fields(disc09):
     if m.proposals:
         assert 0.0 < m.acceptance_rate <= 1.0
     assert SampleMeta.from_dict(m.to_dict()) == m
+
+
+def test_sample_meta_from_dict_missing_fields(disc09):
+    data = sample(disc09, SamplerConfig(n_eigen=9, seed=11), replica=3).meta.to_dict()
+    # a field without a default is required
+    with pytest.raises(KeyError):
+        SampleMeta.from_dict({k: v for k, v in data.items() if k != "rejections"})
+    # seed, replica and sampler read as None when absent
+    for name in ("seed", "replica", "sampler"):
+        meta = SampleMeta.from_dict({k: v for k, v in data.items() if k != name})
+        assert getattr(meta, name) is None
+
+
+@pytest.mark.parametrize("seed, replica", [(0, 0), (3, 2), (11, 7)])
+def test_sample_meta_is_the_positional_meta(disc09, annulus59, seed, replica):
+    for spectrum in (disc09, annulus59):
+        cfg = SamplerConfig(beta=5.0, seed=seed)
+        conf = sample(spectrum, cfg, replica)
+        rng = make_rng(seed, replica, PHASE_SAMPLE)
+        active = bernoulli_phase(spectrum, cfg.resolve_truncation(spectrum), rng)
+        direct = sample_positions(spectrum, active, rng)
+        assert conf.points == direct.points
+        assert conf.meta == dataclasses.replace(direct.meta, seed=seed, replica=replica)
+        assert (conf.meta.seed, conf.meta.replica) == (seed, replica)
 
 
 # -----------------------------------------------------------------------------
