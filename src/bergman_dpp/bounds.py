@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, _as_int, _as_real
+from .errors import DomainError, _as_int, _as_real, _truncation
 from .regions import disc, region_trace
 
 __all__ = [
@@ -49,7 +49,7 @@ def default_bound_truncation(radius: float, beta: float) -> int:
     """max(1, ceil(beta * N_R)), the truncation index the exponential bound
     assumes: the sampler's default_truncation on the disc of that radius."""
     n_r, _ = truncation_constants(radius)
-    return max(1, math.ceil(_as_real(beta, "beta") * n_r))
+    return _truncation(beta, n_r)
 
 
 def wasserstein_bound(radius: float, beta: float) -> float:

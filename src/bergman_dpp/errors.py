@@ -135,3 +135,12 @@ def _elements(values, name: str, error=DomainError) -> list:
         return np.ravel(values).tolist()
     except (TypeError, ValueError):
         raise error(f"{name} must be a scalar or a rectangular array, got {values!r}") from None
+
+
+def _truncation(beta, trace: float) -> int:
+    """max(1, ceil(beta * trace)), beta checked as a positive finite real; a
+    product that overflows to infinity is a DomainError, not an OverflowError."""
+    n = _as_real(beta, "beta") * trace
+    if not math.isfinite(n):
+        raise DomainError(f"beta * trace = {beta} * {trace} is not finite")
+    return max(1, math.ceil(n))

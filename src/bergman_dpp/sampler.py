@@ -25,7 +25,11 @@ so a (seed, replica) replays byte-identically; SAMPLER_VERSION names the
 stream.  Every point draws at least its first chunk, so the rows of all
 first chunks are certain to be consumed: they are drawn and evaluated as
 one block, at most _CHUNK_CAP rows at a time, and a point that rejects its
-first chunk draws its shortfall when it reaches the end of the block.
+first chunk draws its shortfall when it reaches the end of the block.  The
+block is one set of _CHUNK_CAP-row arrays per call, which _proposals fills
+in place: an extension first moves the rows not yet consumed to the front,
+then evaluates the new rows behind them, so no block is concatenated and
+its memory stays at _CHUNK_CAP rows however large m is.
 Drawing a rows and then b rows gives the same doubles as drawing a + b
 rows, and no row is drawn before it is certain, so a call that returns
 leaves the generator exactly where chunked drawing leaves it.  A call that
@@ -48,6 +52,7 @@ from .errors import (
     _as_int,
     _as_real,
     _as_reals,
+    _truncation,
 )
 from .spectral import _INDEX_END, BergmanSpectrum, GinibreSpectrum
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _replica_uniforms, make_rng
@@ -118,6 +123,16 @@ class ActiveIndexSet:
     def __len__(self):
         return len(self.indices)
 
+    @classmethod
+    def _of_hits(cls, hits: np.ndarray) -> "ActiveIndexSet":
+        """The set of the entries of the 1-d bool array hits that are set:
+        nonzero's indices are sorted, in range and int64 already, so they
+        are not checked again one by one."""
+        active = object.__new__(cls)
+        object.__setattr__(active, "indices", tuple(hits.nonzero()[0].tolist()))
+        object.__setattr__(active, "n_eigen", hits.size)
+        return active
+
 
 @dataclass(frozen=True)
 class SampleMeta:
@@ -183,7 +198,7 @@ def default_truncation(spectrum, beta: float) -> int:
     """ceil(beta * trace), at least 1; needs a closed-form-trace spectrum."""
     if not isinstance(spectrum, (BergmanSpectrum, GinibreSpectrum)):
         raise DomainError("default truncation needs a Bergman or Ginibre spectrum")
-    return max(1, math.ceil(_as_real(beta, "beta") * spectrum.trace()))
+    return _truncation(beta, spectrum.trace())
 
 
 def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
@@ -205,23 +220,42 @@ def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
     """Select each index n < n_eigen independently with probability lambda_n."""
     lam = _eigenvalues(spectrum, n_eigen)
-    hits = np.nonzero(rng.random(lam.size) < lam)[0]
-    return ActiveIndexSet(indices=tuple(hits.tolist()), n_eigen=lam.size)
+    return ActiveIndexSet._of_hits(rng.random(lam.size) < lam)
 
 
-def _proposals(u, idx, table, cum, log_inv):
-    """Evaluate proposal rows u (pick, radius, angle, acceptance uniforms):
-    the acceptance uniforms, log z, phi_I(z), ||phi_I(z)||**2 and the
-    denominator of the acceptance ratio."""
-    pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-    t = table[np.minimum(pick, len(table) - 1)]
+def _mixture(spectrum, idx, n_eigen):
+    """spectrum._sampler_mixture(idx, n_eigen) as _proposals reads it: the
+    table, the cumulated masses, and the indices and log normalizers as
+    complex arrays, which numpy would otherwise cast on every call (the
+    casts are exact, so the products and sums keep their bits)."""
+    table, cum, log_inv = spectrum._sampler_mixture(idx, n_eigen)
+    return table, cum, idx.astype(complex), log_inv.astype(complex)
+
+
+def _rows(n: int, m: int):
+    """Empty arrays for n evaluated proposals of m active indices, the rows
+    _proposals fills: acceptance uniforms, log z, phi_I(z), ||phi_I(z)||**2
+    and the denominator of the acceptance ratio."""
+    accept, norm_sq, denom = np.empty((3, n))
+    return accept, np.empty(n, complex), np.empty((n, m), complex), norm_sq, denom
+
+
+def _proposals(u, table, cum, idx, log_inv, out) -> None:
+    """Evaluate proposal rows u (pick, radius, angle, acceptance uniforms)
+    into out, arrays of _rows(len(u), len(idx)) or row slices of them."""
+    accept, log_z, feats, norm_sq, denom = out
+    accept[:] = u[:, 3]
+    pick = cum.searchsorted(u[:, 0] * cum[-1], side="right")
+    t = table.take(np.minimum(pick, len(table) - 1), axis=0)
     # r**k uniform between a**k and b**k; 1 - u lies in (0, 1], so r > 0
     r = t[:, 0] * (t[:, 1] + (1.0 - u[:, 1]) * t[:, 2]) ** t[:, 3]
-    log_z = np.log(r) + (2j * math.pi) * u[:, 2]
-    feats = np.exp(np.multiply.outer(log_z, idx) + log_inv)
-    norm_sq = np.square(feats.view(float)).sum(axis=1)
+    # log r + 2 pi i u, whose complex product and sum would add exact zeros
+    log_z.real = np.log(r)
+    log_z.imag = (2.0 * math.pi) * u[:, 2]
+    np.exp(np.multiply.outer(log_z, idx) + log_inv, feats)
+    np.add.reduce(np.square(feats.view(float)), 1, None, norm_sq)
     # a proposal where every phi_n underflows has ratio 0 / 1: a rejection
-    return u[:, 3], log_z, feats, norm_sq, np.where(norm_sq > 0.0, norm_sq, 1.0)
+    denom[:] = np.where(norm_sq > 0.0, norm_sq, 1.0)
 
 
 def sample_positions(
@@ -240,45 +274,60 @@ def sample_positions(
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = spectrum._sampler_mixture(idx, active.n_eigen)
-        basis = np.zeros((m, m), dtype=complex)
-        conj_basis = np.zeros((m, m), dtype=complex)  # conj(basis), row by row
+        mixture = _mixture(spectrum, idx, active.n_eigen)
+        # point i reads only the rows of the points before it
+        basis = np.empty((m, m), dtype=complex)
+        conj_basis = np.empty((m, m), dtype=complex)  # conj(basis), row by row
         # every point draws at least its first chunk, so the first chunks
         # of the points after this one are certain to be consumed
         first = [min(_CHUNK_CAP, -(-m // (m - i))) for i in range(m)]
         later = sum(first)
+        # the block: stream rows [lo, hi) evaluated, row lo at index 0
+        accept_b, log_z_b, feats_b, norm_b, denom_b = block = _rows(_CHUNK_CAP, m)
     # stream rows: pos consumed, [lo, hi) drawn and evaluated in block
     pos = lo = hi = 0
 
     for i in range(m):
         later -= first[i]
         consumed = chunk_no = 0
+        done, conj_done = basis[:i], conj_basis[:i]
+        conj_t = conj_done.T
         while True:
             # the expected count ceil(m / (m - i)), doubled per further chunk
             c = min(_CHUNK_CAP, -(-m // (m - i)) << chunk_no)
             chunk_no += 1
             if pos + c > hi:
                 # extend the block over the rows certain to be consumed, at
-                # most _CHUNK_CAP rows from this chunk's start
+                # most _CHUNK_CAP rows from this chunk's start: the rows not
+                # yet consumed move to the front, the new ones follow them
                 end = max(pos + c, min(pos + c + later, pos + _CHUNK_CAP))
-                rows = _proposals(rng.random((end - hi, 4)), idx, *mixture)
-                if hi > pos:
-                    rows = [np.concatenate((a[pos - lo :], b)) for a, b in zip(block, rows)]
-                block, lo, hi = rows, pos, end
-            accept, log_z, feats, norm_sq, denom = (a[pos - lo : pos - lo + c] for a in block)
+                live = hi - pos
+                if live:
+                    for a in block:
+                        a[:live] = a[pos - lo : hi - lo]
+                new = [a[live : end - pos] for a in block]
+                _proposals(rng.random((end - hi, 4)), *mixture, new)
+                lo, hi = pos, end
+            s = pos - lo
             pos += c
             if i:
-                resid = norm_sq - np.square((feats @ conj_basis[:i].T).view(float)).sum(axis=1)
+                # squared in place, as it has 2 i c >= 2 entries; the ratio is
+                # not, as c is often 1, where an in-place ufunc runs slower
+                proj = (feats_b[s : s + c] @ conj_t).view(float)
+                proj = np.add.reduce(np.square(proj, out=proj), 1)
+                ratio = (norm_b[s : s + c] - proj) / denom_b[s : s + c]
             else:
-                resid = norm_sq  # the basis is empty, and x - 0.0 == x
-            # resid <= norm_sq, so a ratio leaves [0, 1] only downwards or as NaN
-            ratio = resid / denom
-            if not ratio.min() >= -_RATIO_SLACK:
+                # the basis is empty, and x - 0.0 == x
+                ratio = norm_b[s : s + c] / denom_b[s : s + c]
+            # the residual is at most norm_sq, so a ratio leaves [0, 1] only
+            # downwards or as NaN
+            low = np.minimum.reduce(ratio)
+            if not low >= -_RATIO_SLACK:
                 raise EnvelopeError(
-                    f"acceptance ratio {ratio.min()} outside [0, 1] at point {i + 1} of {m}"
+                    f"acceptance ratio {low} outside [0, 1] at point {i + 1} of {m}"
                 )
             proposals += c
-            hits = accept < ratio
+            hits = accept_b[s : s + c] < ratio
             j = int(hits.argmax())
             if hits[j]:
                 break
@@ -289,19 +338,19 @@ def sample_positions(
                     f"{i + 1} of {m} (region {spectrum._literal})"
                 )
         rejections.append(consumed + j)
-        v = feats[j]
+        log_points.append(log_z_b[s + j])
+        v = feats_b[s + j]
         # CGS2: classical Gram-Schmidt with one re-pass; nothing to remove at i = 0
-        for _ in range(2 if i else 0):
-            v = v - (conj_basis[:i] @ v) @ basis[:i]
+        if i:
+            v = v - (conj_done @ v) @ done
+            v -= (conj_done @ v) @ done
         nrm = math.sqrt(np.vdot(v, v).real)
         if nrm < GS_NORM_FLOOR:
             raise OrthogonalizationError(
                 f"Gram-Schmidt residual {nrm} below {GS_NORM_FLOOR} at point "
                 f"{i + 1} of {m}: numerically duplicate draw"
             )
-        basis[i] = v / nrm
-        conj_basis[i] = basis[i].conj()
-        log_points.append(log_z[j])
+        np.conjugate(np.divide(v, nrm, out=basis[i]), out=conj_basis[i])
 
     meta = SampleMeta(
         region=spectrum._literal,
@@ -334,9 +383,8 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     replicas = _as_int(replicas, "replicas", 0, _REPLICA_END)
     idx = np.array(active.indices, dtype=int)
     u = np.concatenate([*_replica_uniforms(seed, np.arange(replicas), PHASE_SAMPLE, 4)])
-    accept, log_z, _, norm_sq, denom = _proposals(
-        u, idx, *spectrum._sampler_mixture(idx, active.n_eigen)
-    )
+    accept, log_z, _, norm_sq, denom = rows = _rows(len(u), 1)
+    _proposals(u, *_mixture(spectrum, idx, active.n_eigen), rows)
     ratio = norm_sq / denom
     # a norm above twice the floor passes the floor check however vdot rounds
     certain = (ratio == 1.0) & (accept < ratio) & (norm_sq > 4.0 * GS_NORM_FLOOR**2)

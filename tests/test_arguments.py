@@ -129,8 +129,9 @@ _ABOVE_ONE = math.nextafter(1.0, 2.0)
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 REAL_CASES = [
     ("SamplerConfig.beta", lambda v: SamplerConfig(beta=v), 2.0, (0.0,), DomainError),
-    ("default_truncation.beta", lambda v: default_truncation(SPEC, v), 2.0, (0.0,), DomainError),
-    ("default_bound_truncation.beta", lambda v: default_bound_truncation(0.9, v), 2.0, (0.0,), DomainError),
+    # 1e308 is finite, but its product with the trace overflows
+    ("default_truncation.beta", lambda v: default_truncation(SPEC, v), 2.0, (0.0, 1e308), DomainError),
+    ("default_bound_truncation.beta", lambda v: default_bound_truncation(0.9, v), 2.0, (0.0, 1e308), DomainError),
     ("wasserstein_bound.beta", lambda v: wasserstein_bound(0.9, v), 2.0, (0.0,), DomainError),
     ("truncation_constants.radius", truncation_constants, 0.5, (0.0, 1.0), DomainError),
     ("coupling_tail.radius", lambda v: coupling_tail(v, 3), 0.5, (0.0, 1.0), DomainError),

@@ -7,6 +7,13 @@ change that only makes the sampler faster must leave every digest here as
 it is.  A digest that moves means the stream moved: bump SAMPLER_VERSION
 (or the count-law contract) and record it in CHANGES.md instead of
 re-freezing the digest quietly.
+
+The digests are of numpy's AVX-512 float64 kernels (exp, log, expm1, log1p
+and pow), which differ from the platform libm by 1 ulp on some inputs.
+Replay is byte-identical per float path: with numpy limited to its AVX2
+kernels (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", the path
+of an x86 host without AVX-512), 12 of the 22 digests here fail: four of
+the six sample digests, both verify digests and the six count-law digests.
 """
 
 import hashlib

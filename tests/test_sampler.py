@@ -841,15 +841,16 @@ def test_replica_uniforms_match_make_rng(seed, phase):
     # sides of the crossover between the vectorized rounds and the re-keyed
     # generator, with the replicas out of order
     replicas = [300, 255, 0, 256, (1 << 56) - 1, 7, 1, 299, *range(8, 40)]
-    for n in (1, 3, 4, 5, 22, 32, 33, 600):
+    for n in (1, 3, 4, 5, 22, streams._VECTOR_ROW, streams._VECTOR_ROW + 1, 600):
         got, sizes = _rows_bits(seed, replicas, phase, n)
         assert got.shape == (len(replicas), n) and sum(sizes) == len(replicas)
         assert np.array_equal(got, _make_rng_bits(seed, replicas, phase, n))
 
 
-@pytest.mark.parametrize("n", [4, 33])
+@pytest.mark.parametrize("n", [4, streams._VECTOR_ROW, streams._VECTOR_ROW + 1])
 def test_replica_uniforms_span_passes(n):
-    # more replicas than one pass holds: several blocks, in replica order
+    # more replicas than one pass holds: several blocks, in replica order,
+    # from the vectorized rounds and, past _VECTOR_ROW, the re-keyed generator
     replicas = np.arange(9000)[::-1]
     got, sizes = _rows_bits(5, replicas, PHASE_BERNOULLI, n)
     assert len(sizes) > 1 and sum(sizes) == 9000
