@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, _as_int, _as_real, _truncation
+from .errors import _INDEX_END, DomainError, _as_int, _as_real, _truncation
 from .regions import disc, region_trace
 
 __all__ = [
@@ -62,7 +62,7 @@ def wasserstein_bound(radius: float, beta: float) -> float:
 def coupling_tail(radius: float, n_eigen: int) -> float:
     """Exact eigenvalue tail sum_{k > N} R**(2k+2) = R**(2N+4) / (1 - R**2)."""
     radius = _as_real(radius, "disc radius", 0, 1)
-    n_eigen = _as_int(n_eigen, "truncation index")
+    n_eigen = _as_int(n_eigen, "truncation index", 0, _INDEX_END)
     return radius ** (2 * n_eigen + 4) / ((1.0 - radius) * (1.0 + radius))
 
 
@@ -76,7 +76,7 @@ def coincidence_probability(radius: float, n_eigen: int) -> float:
     factors remain (R = 1 - 1e-8 at N = 1) raises DomainError.
     """
     radius = _as_real(radius, "disc radius", 0, 1)
-    n_eigen = _as_int(n_eigen, "truncation index")
+    n_eigen = _as_int(n_eigen, "truncation index", 0, _INDEX_END)
     cap = _COINCIDENCE_TOL * (1.0 - radius) * (1.0 + radius)
     # smallest K with R**(2K+4) < cap
     k_stop = max(n_eigen, math.ceil((math.log(cap) / math.log(radius) - 4.0) / 2.0))
@@ -88,7 +88,7 @@ def coincidence_probability(radius: float, n_eigen: int) -> float:
         total += float(np.log1p(-(radius ** (2.0 * ks + 2.0))).sum())
         if total < -40.0:
             break  # -expm1 is 1.0 from here on, and every later factor is <= 0
-    return -math.expm1(total)
+    return 0.0 - math.expm1(total)  # not -expm1: no factor left gives +0.0, not -0.0
 
 
 def chernoff_lower(mean: float, c: float) -> float:
@@ -108,7 +108,7 @@ def chernoff_upper(mean: float, c: float) -> float:
 def sufficiency_margin(eps: float, n_eigen: int) -> float:
     """Margin 2N log(1-eps) - log(eps); negative once N functions suffice at level eps."""
     eps = _as_real(eps, "eps", 0, 1)
-    n_eigen = _as_int(n_eigen, "n_eigen", 1)
+    n_eigen = _as_int(n_eigen, "n_eigen", 1, _INDEX_END)
     return 2.0 * n_eigen * math.log1p(-eps) - math.log(eps)
 
 
@@ -145,7 +145,7 @@ def build_bound_report(
     if n_eigen is None:
         n_eigen = default_bound_truncation(radius, beta)
     else:
-        n_eigen = _as_int(n_eigen, "n_eigen", 1)
+        n_eigen = _as_int(n_eigen, "n_eigen", 1, _INDEX_END)
     n_r, g = truncation_constants(radius)
     return BoundReport(
         radius=radius,

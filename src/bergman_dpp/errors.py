@@ -1,11 +1,11 @@
 """Exception types shared across the package, and the one rule by which
 arguments are checked: a count, index or seed must be a finite real equal
 to an integer in range, a bounded real a finite real inside its interval,
-an interval or bin a pair of such reals, an array of reals (of indices)
-a rectangular array whose every element passes as a bounded real (as an
-integer in range); anything else raises the named error instead of
-escaping as a bare TypeError, ValueError or OverflowError or being
-truncated silently."""
+an interval or bin an increasing pair of such reals, an array of reals
+(of indices) a rectangular array whose every element passes as a bounded
+real (as an integer in range); anything else raises the named error
+instead of escaping as a bare TypeError, ValueError or OverflowError or
+being truncated silently."""
 
 import math
 
@@ -15,6 +15,9 @@ __all__ = [
     "BergmanDPPError", "DomainError", "RegionError",
     "RejectionBudgetError", "OrthogonalizationError", "EnvelopeError",
 ]
+
+# indices and truncation orders are int64 array entries: below 2**63
+_INDEX_END = 1 << 63
 
 
 class BergmanDPPError(Exception):
@@ -77,13 +80,15 @@ def _as_real(value, name: str, low=0, high=math.inf, error=DomainError, ends="()
     return x
 
 
-def _as_pair(value, name: str, low=-math.inf, error=DomainError, ends="()"):
-    """value as a tuple of two floats, each checked by _as_real from low up, else error."""
+def _as_pair(value, name: str, low=-math.inf, high=math.inf, error=DomainError, ends="()"):
+    """value as an increasing pair (a, b) of floats, a in (low, high) and b in
+    (a, high) as _as_real checks them (ends applies to a), else error."""
     try:
         a, b = value
     except (TypeError, ValueError):
         raise error(f"{name} {value!r} is not a pair of reals") from None
-    return tuple(_as_real(x, f"{name} endpoint", low, math.inf, error, ends) for x in (a, b))
+    a = _as_real(a, f"{name} inner radius", low, high, error, ends)
+    return a, _as_real(b, f"{name} outer radius", a, high, error)
 
 
 def _as_reals(values, name: str, low=0, high=math.inf, error=DomainError, ends="()"):

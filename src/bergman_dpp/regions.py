@@ -28,7 +28,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Union
 
-from .errors import DomainError, RegionError, _as_int, _as_pair, _as_real
+from .errors import _INDEX_END, DomainError, RegionError, _as_int, _as_pair, _as_real
 
 __all__ = [
     "RadialRegion",
@@ -64,25 +64,12 @@ class RadialRegion:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pairs = tuple(_as_pair(p, "interval", error=RegionError) for p in self.intervals)
-        object.__setattr__(self, "intervals", pairs)
-        prev_b = None
-        for j, (a, b) in enumerate(self.intervals):
-            if a < 0.0:
-                raise RegionError(f"interval {j}: inner radius {a} < 0")
-            if not a < b:
-                raise RegionError(f"interval {j}: needs a < b strictly, got [{a}, {b}]")
-            if prev_b is not None and not prev_b < a:
-                raise RegionError(
-                    f"interval {j}: ordering violated, previous outer radius {prev_b} "
-                    f"is not strictly below inner radius {a}"
-                )
-            prev_b = b
-        if self.intervals and not self.intervals[-1][1] < 1.0:
-            raise RegionError(
-                f"outer radius {self.intervals[-1][1]} must stay strictly below 1 "
-                "(regions touching the unit circle have infinite trace)"
-            )
+        # 0 <= a_0 < b_0 < a_1 < ... < b_last < 1, each endpoint bounded by the one before
+        pairs, low, ends = [], 0, "[)"
+        for j, pair in enumerate(self.intervals):
+            pairs.append(_as_pair(pair, f"interval {j}", low, 1, RegionError, ends))
+            low, ends = pairs[-1][1], "()"
+        object.__setattr__(self, "intervals", tuple(pairs))
 
     @property
     def is_empty(self) -> bool:
@@ -117,13 +104,11 @@ def make_region(intervals) -> RadialRegion:
     lists with a diagnostic naming the violated invariant.
     """
     cleaned: list[list[float]] = []
-    for pair in intervals:
-        a, b = _as_pair(pair, "interval", error=RegionError)
+    for j, pair in enumerate(intervals):
+        # a < b is checked here too: a reversed pair must not merge into a valid one
+        a, b = _as_pair(pair, f"interval {j}", error=RegionError)
         if cleaned and a == cleaned[-1][1]:
-            # touching intervals are one interval
-            if b <= a:
-                raise RegionError(f"interval [{a}, {b}]: needs a < b strictly")
-            cleaned[-1][1] = b
+            cleaned[-1][1] = b  # touching intervals are one interval
         else:
             cleaned.append([a, b])
     return RadialRegion(tuple((a, b) for a, b in cleaned))
@@ -137,14 +122,8 @@ def disc(radius: float) -> RadialRegion:
 
 def annulus(inner: float, outer: float) -> RadialRegion:
     """Centered annulus r <= |z| <= R; inner = 0 reduces to the disc."""
-    inner = _as_real(inner, "annulus inner radius", -math.inf, error=RegionError)
-    outer = _as_real(outer, "annulus outer radius", -math.inf, error=RegionError)
-    if inner < 0.0:
-        raise RegionError(f"annulus inner radius must be >= 0, got {inner}")
-    if not inner < outer:
-        raise RegionError(f"annulus needs r < R strictly, got r={inner}, R={outer}")
-    if not outer < 1.0:
-        raise RegionError(f"annulus outer radius must stay below 1, got {outer}")
+    outer = _as_real(outer, "annulus outer radius", 0, 1, RegionError)
+    inner = _as_real(inner, "annulus inner radius", 0, outer, RegionError, "[)")
     return RadialRegion(((inner, outer),))
 
 
@@ -178,13 +157,14 @@ class GeometricWeights:
         _as_real(self.ratio, "geometric ratio", 0, 1, RegionError)
 
     def term(self, k: int) -> float:
+        k = _as_int(k, "geometric weight index", 0, _INDEX_END, RegionError)
         return self.u0 * self.ratio**k
 
     def total(self) -> float:
         return self.u0 / (1.0 - self.ratio)
 
     def tail_from(self, k: int) -> float:
-        return self.u0 * self.ratio**k / (1.0 - self.ratio)
+        return self.term(k) / (1.0 - self.ratio)
 
 
 _RULES = ("midpoint", "offset")

@@ -49,12 +49,13 @@ from .errors import (
     EnvelopeError,
     OrthogonalizationError,
     RejectionBudgetError,
+    _INDEX_END,
     _as_int,
     _as_real,
     _as_reals,
     _truncation,
 )
-from .spectral import _INDEX_END, BergmanSpectrum, GinibreSpectrum
+from .spectral import BergmanSpectrum, GinibreSpectrum
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _replica_uniforms, make_rng
 
 __all__ = [
@@ -205,16 +206,12 @@ def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
     """The first n_eigen eigenvalues, checked to be finite and in [0, 1]: kept
     in a BergmanSpectrum's plan, evaluated and checked per call otherwise."""
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
-
-    def checked(lam):
-        lam = _as_reals(lam, "eigenvalues", 0, 1, ends="[]")
-        if lam.shape != (n_eigen,):
-            raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
-        return lam
-
     if type(spectrum) is BergmanSpectrum:
-        return spectrum._plan_eigenvalues(n_eigen, checked)
-    return checked(spectrum.eigenvalues(n_eigen))
+        return spectrum._plan_eigenvalues(n_eigen)
+    lam = _as_reals(spectrum.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
+    if lam.shape != (n_eigen,):
+        raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
+    return lam
 
 
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _as_int, _as_ints, _as_real, _elements
+from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_real, _as_reals, _elements
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "GinibreSpectrum",
 ]
 
-# indices and truncation orders are int64 array entries: below 2**63
-_INDEX_END = 1 << 63
 # numpy describes no array of 2**63 bytes or more, so an n_eigen whose
 # float64 arrays hold n_eigen entries per interval stays below 2**60 in all
 _ENTRIES_END = _INDEX_END // 8
@@ -111,12 +109,13 @@ class BergmanSpectrum:
         terms = np.where(ap > 0.5 * bp, rel, bp - ap)
         return terms.sum(axis=1)
 
-    def _plan_eigenvalues(self, n_eigen: int, check) -> np.ndarray:
-        """check(eigenvalues(n_eigen)), read-only, kept as the plan for
-        n_eigen until another n_eigen replaces it; a failed check keeps nothing."""
+    def _plan_eigenvalues(self, n_eigen: int) -> np.ndarray:
+        """eigenvalues(n_eigen), checked to be finite and in [0, 1], read-only,
+        kept as the plan for n_eigen until another n_eigen replaces it; a
+        failed check keeps nothing."""
         n, lam, _ = self._plan  # one read, as in _sampler_mixture
         if n != n_eigen:
-            lam = check(self.eigenvalues(n_eigen))
+            lam = _as_reals(self.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
             lam.flags.writeable = False
             self._plan = (n_eigen, lam, None)
         return lam

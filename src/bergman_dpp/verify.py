@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
-from .errors import DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals, _elements
+from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals
+from .errors import _elements
 from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
 from .sampler import _eigenvalues, _moduli, _single_index_points
-from .spectral import _INDEX_END, BergmanSpectrum
+from .spectral import BergmanSpectrum
 from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
 from .streams import _REPLICA_END, _SEED_END, _replica_uniforms
 
@@ -74,6 +75,7 @@ class CountDistribution:
         return self.moment(2)
 
     def moment(self, order: int, central: bool = True) -> float:
+        order = _as_int(order, "moment order", 0, _INDEX_END)
         k = np.arange(len(self.pmf), dtype=float)
         if central:
             k = k - self.mean()
@@ -317,8 +319,6 @@ def intensity_profile_test(
     cleaned: list[tuple[float, float]] = []
     for pair in bins:
         r1, r2 = _as_pair(pair, "bin", 0, ends="[)")
-        if not r1 < r2:
-            raise DomainError(f"bin ({r1}, {r2}) is not an increasing radius pair")
         if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
             raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
         cleaned.append((r1, r2))
@@ -357,12 +357,12 @@ def intensity_profile_test(
 
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = np.sort(_as_reals(samples, "samples", -math.inf).ravel())
     n = xs.size
     if n == 0:
         raise DomainError("empty sample")
-    if np.isnan(xs).any():
-        raise DomainError("sample contains NaN")
+    if not callable(cdf):
+        raise DomainError(f"cdf must be callable, got {cdf!r}")
     try:
         fs = np.asarray(cdf(xs), dtype=float)
         if fs.shape != xs.shape:

@@ -37,6 +37,7 @@ from bergman_dpp import (
     disc,
     intensity_profile_test,
     ks_critical_value,
+    ks_statistic,
     make_region,
     make_rng,
     mc_count_stats,
@@ -57,6 +58,8 @@ NOT_INT = NOT_REAL + (1.5,)
 BEYOND_INT64 = (1 << 63, 1 << 64)
 # numpy describes no array of 2**63 bytes: 2**60 float64 entries or more
 BEYOND_ARRAY = (1 << 60, 1 << 62)
+# an integer no float holds; ids show its first 40 digits
+BEYOND_FLOAT = (10**400,)
 
 SPEC = BergmanSpectrum.disc(0.9)
 HALF = BergmanSpectrum.disc(0.5)
@@ -108,10 +111,10 @@ INT_CASES = [
     ),
     ("GinibreSpectrum.eigenvalues", GIN.eigenvalues, 4, (-1,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
     ("GinibreSpectrum.eigenvalue", GIN.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
-    ("coupling_tail.n_eigen", lambda v: coupling_tail(0.9, v), 4, (-1,), DomainError),
-    ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,), DomainError),
-    ("sufficiency_margin.n_eigen", lambda v: sufficiency_margin(0.5, v), 4, (0,), DomainError),
-    ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,), DomainError),
+    ("coupling_tail.n_eigen", lambda v: coupling_tail(0.9, v), 4, (-1,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
+    ("coincidence_probability.n_eigen", lambda v: coincidence_probability(0.9, v), 4, (-1,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
+    ("sufficiency_margin.n_eigen", lambda v: sufficiency_margin(0.5, v), 4, (0,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
+    ("build_bound_report.n_eigen", lambda v: build_bound_report(0.9, n_eigen=v), 4, (0,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
     (
         "mc_count_stats.reps",
         lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0, 1 << 56), DomainError,
@@ -120,6 +123,9 @@ INT_CASES = [
     ("verify_gates.seed", lambda v: verify_gates(v, 200), 7, (-1, 1 << 64), DomainError),
     # below 13 replicas the count-law gate has fewer than two cells
     ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1, 12, 1 << 56), DomainError),
+    ("CountDistribution.moment", DIST.moment, 2, (-1,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
+    ("GeometricWeights.term", WEIGHTS.term, 3, (-1,) + BEYOND_INT64 + BEYOND_FLOAT, RegionError),
+    ("GeometricWeights.tail_from", WEIGHTS.tail_from, 3, (-1,) + BEYOND_INT64 + BEYOND_FLOAT, RegionError),
     # every integer is a valid count here: below 0 the cdf is 0 and the tail 1
     ("CountDistribution.cdf", DIST.cdf, 2, (), DomainError),
     ("CountDistribution.upper_tail", DIST.upper_tail, 2, (), DomainError),
@@ -175,6 +181,15 @@ REAL_CASES = [
     ),
     ("make_region.endpoint", lambda v: make_region([(0.1, v)]), 0.2, ("0.2", b"0.2", 0.1), RegionError),
     ("RadialRegion.endpoint", lambda v: RadialRegion(((0.1, v),)), 0.2, ("0.2", b"0.2", 0.1), RegionError),
+    # 0 <= a_0 < b_0 < a_1 < b_1 < 1: a negative inner radius, a second
+    # interval that overlaps or touches the first, an outer radius of 1
+    ("RadialRegion.first_inner", lambda v: RadialRegion(((v, 0.3),)), 0.0, (-_ABOVE_ZERO, -0.1, 0.3), RegionError),
+    ("RadialRegion.second_inner", lambda v: RadialRegion(((0.1, 0.3), (v, 0.6))), 0.4, (0.2, 0.3), RegionError),
+    ("RadialRegion.last_outer", lambda v: RadialRegion(((0.1, 0.3), (0.5, v))), 0.9, (0.5, 1.0, _ABOVE_ONE), RegionError),
+    # a pair that touches the one before merges with it, so it is checked first
+    ("make_region.touching", lambda v: make_region([(0.1, 0.2), (0.2, v)]), 0.3, (0.15, 0.2), RegionError),
+    # samples are reals or arrays of reals, every element finite
+    ("ks_statistic.samples", lambda v: ks_statistic([0.1, v], lambda x: x), 0.5, (["0.5"], [[0.5]]), DomainError),
     # points must be finite complex numbers in the closed region
     ("BergmanSpectrum.feature_matrix.z", lambda v: SPEC.feature_matrix([1], [0.1, v]), 0.3, (0.95, 0.1 + 0.9j), DomainError),
     ("BergmanSpectrum.feature_matrix.far_z", lambda v: HALF.feature_matrix([1500], v), 0.4, (0.9,), DomainError),
@@ -190,7 +205,7 @@ REAL_CASES = [
 
 def _rows(cases, bad):
     return [
-        pytest.param(call, value, error, id=f"{name}-{value!r}")
+        pytest.param(call, value, error, id=f"{name}-{value!r:.40}")
         for name, call, _, extra, error in cases
         for value in bad + extra
     ]
@@ -216,6 +231,7 @@ RAGGED_CASES = [
     ("chernoff_consistency.cs", lambda: chernoff_consistency(DIST, [[0.1], 0.2])),
     ("count_pmf.eigenvalues", lambda: count_pmf([[0.5], [0.5, 0.2]])),
     ("count_gof.histogram", lambda: count_gof([[20, 40], 60], DIST)),
+    ("ks_statistic.samples", lambda: ks_statistic([[0.1, 0.2], 0.3], lambda x: x)),
 ]
 
 
@@ -273,3 +289,9 @@ def test_verify_gates_checks_arguments_first(seed, reps, monkeypatch):
     monkeypatch.setattr(verify, "bound_audit", no_gate)
     with pytest.raises(DomainError):
         verify_gates(seed, reps)
+
+
+@pytest.mark.parametrize("cdf", [None, 0.5, "x"])
+def test_ks_statistic_cdf_not_callable(cdf):
+    with pytest.raises(DomainError):
+        ks_statistic([0.1, 0.2], cdf)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -145,15 +146,22 @@ def _one_array_coincidence(r, n):
     cap = 1e-12 * (1.0 - r) * (1.0 + r)
     k_stop = max(n, math.ceil((math.log(cap) / math.log(r) - 4.0) / 2.0))
     ks = np.arange(n + 1, k_stop + 1)
-    return -math.expm1(float(np.log1p(-(r ** (2.0 * ks + 2.0))).sum()))
+    return 0.0 - math.expm1(float(np.log1p(-(r ** (2.0 * ks + 2.0))).sum()))
 
 
 def test_coincidence_bits_kept_within_one_block():
     for r in (0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
         for n in (0, 1, 9, 25, 1000, 60_000):
             got, want = coincidence_probability(r, n), _one_array_coincidence(r, n)
-            # the sign too: an empty product gives -0.0
+            # the sign too: an empty product gives +0.0
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (r, n)
+
+
+def test_coincidence_past_the_cutoff_is_positive_zero():
+    # N at or beyond the 1e-12 cut-off leaves no factor: +0.0, never -0.0
+    for r, n in ((0.5, 100), (0.9, 250)):
+        p = coincidence_probability(r, n)
+        assert math.copysign(1.0, p) == 1.0 and json.dumps(p) == "0.0", (r, n)
 
 
 def test_coincidence_over_several_blocks():

@@ -209,6 +209,13 @@ def test_bounds_too_near_one_is_validation_error(capsys):
     assert "radius 0.999999999" in err
 
 
+def test_bounds_truncation_beyond_int64_is_validation_error(capsys):
+    # an index beyond float range raised a bare OverflowError with a traceback
+    rc, out, err = run(capsys, "bounds", "--radius", "0.9", "--n-eigen", str(10**400))
+    assert rc == 1 and out == ""
+    assert "n_eigen must be a positive integer below" in err and "Traceback" not in err
+
+
 # -----------------------------------------------------------------------------
 # region
 # -----------------------------------------------------------------------------

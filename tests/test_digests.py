@@ -8,17 +8,30 @@ it is.  A digest that moves means the stream moved: bump SAMPLER_VERSION
 (or the count-law contract) and record it in CHANGES.md instead of
 re-freezing the digest quietly.
 
-The digests are of numpy's AVX-512 float64 kernels (exp, log, expm1, log1p
-and pow), which differ from the platform libm by 1 ulp on some inputs.
-Replay is byte-identical per float path: with numpy limited to its AVX2
-kernels (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", the path
-of an x86 host without AVX-512), 12 of the 22 digests here fail: four of
-the six sample digests, both verify digests and the six count-law digests.
+Replay is byte-identical per float path, so there is one table per path.
+numpy's AVX-512 float64 kernels (exp, log, expm1, log1p and pow) differ
+from the platform libm by 1 ulp on some inputs; the digests below the
+imports are theirs.  LIBM_DIGESTS holds the 12 of the 22 that differ on
+the libm path: numpy limited to its AVX2 kernels by
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", the path of an
+x86 host without AVX-512.  They are four of the six sample digests, both
+verify digests and the six count-law digests; the other 10 are the same
+on both paths.  FLOAT_PATH tells the paths apart by a probe of public
+behaviour: on 1001 points of [-5, 5], numpy's exp differs from math.exp
+(the libm's) on 41 under AVX-512 and on none on the libm path.  A process
+on any other path fails every digest test with a message naming it.
+test_digests_on_the_libm_path runs this file again in a subprocess under
+that variable, so an AVX-512 host checks both tables.
 """
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from test_verify import random_spectra
 
@@ -113,6 +126,56 @@ COUNT_PMF_DIGESTS = {
 # the pmf bytes of each random_spectra() law longer than 64, in order
 RANDOM_COUNT_PMF_DIGEST = "0d6e0127e56f1643216d90fc1913ad1f493dc0e35b784bbd5ef1936fe744145c"
 
+# the libm path's digests where they differ from the ones above, same keys
+LIBM_DIGESTS = {
+    ("sample", "annulus:0.5:0.9"): (
+        "ab2c7234d21a7d394968c12e4d56fdc71d26495180069733046503d53d8c0c7a",
+        "45e0a850dbea70ea95beb5f861e18dfcd9dac0a784eb9ad6d58f93ad60562e5f",
+        "5a47ab92175b7e2977e85e17009784673fff738e0c8d3811b05d8d783871cc02",
+        "6e854356d37fa2f1b4cf6b30c621a85c28cab32618476f0a7c4a803b95c9c8ae",
+        "0a1d3b6e1c6ac4f4f8a33fd08536763d51cf68bcc94b125380cfb329e5b5c50c",
+    ),
+    ("sample", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"): (
+        "82c26669dc4413597f28e7874d9988d361596e3ebe75d0faac5dc0d2a843e4c9",
+        "d33bc716e42cdbd0dd3795e5317fc4dc5b45bec799d646af76e0b2d8756fe761",
+        "8bc23870ab2d501b1ee2cee98bb81170d5c35ab877964886a2ea744f095b9e11",
+        "c2266064f2979e2bca4e625d22c20b682a529727936029d6380d511b580cabfc",
+        "71c58e2037ec8778a8d6ff3780405c0aed72784607c720efee13e31e5de5fd06",
+    ),
+    ("sample", "disc:0.98"): (
+        "3dae4e7c6194df41e3e5ea6b5a1e083d233b1f5a9137ff7baf04ea59818cb61f",
+        "5a4d97dae8ceaa462672223665955f4e295c6b0fbcb97b2d39c5af8b909891fb",
+        "0782538603065c12cf79c8ef323ece2936ff85a934f72567c9e92248966cfad4",
+        "9f1cbe64b59289c042b8e07ed37f17fb918ad05370fbb87fd4e123cfe2bfd849",
+        "269f90ef8a880c0df37924d7c63a92f92b18506b7af65f57072b953b404d2d5a",
+    ),
+    ("sample", "disc:0.995"): ("7171d3251a71e72a83f4b9c3bec0016a4a4c8710bbf251283aaa7a0cb295baf3",),
+    "verify": "108875c961ea791872f146d7ca79f117bdeaa4353b02ddbbcbfb2538c457ae76",
+    "verify-floor": "cba4c4e47e1d6c5ef465c0bd11b62fa66c63c1125ace56ecf6754e12adb75e7e",
+    ("count_pmf", 0.9995, 65): "88d6e7dc0bc2858aecda585d9c0175df2c42a9e3ed9098717b94a02f99e6cfbf",
+    ("count_pmf", 0.9995, 192): "043f60e3bcd2ff1664738f4bf4d0e3bb909a30406e8053119347a6ddede45ba8",
+    ("count_pmf", 0.9995, 5000): "a3ad6b51cfe785359f47c14c389ea7feb3f5f624d005ad2eb130b69a3c917783",
+    ("count_pmf", 0.9995, 27624): "2e2ea95f3e8c017722025641c0175213da8d04e5598cf978c8d3498643c106d2",
+    ("count_pmf", 0.99995, 299_328): "4ed934666ca70618c8a2129b8252c6ddc5aec41d52da58fed8b59f19ded8f769",
+    "random count_pmf": "27535c64b6f5363aa0cf0344471dd5db7915a3b27649636988fede35e3cb4365",
+}
+
+# numpy's float64 path in this process: how many of its exp values on 1001
+# points of [-5, 5] differ from the libm's
+_PROBE = np.linspace(-5.0, 5.0, 1001)
+_OFF_LIBM = int(np.count_nonzero(np.exp(_PROBE) != [math.exp(x) for x in _PROBE]))
+FLOAT_PATH = {41: "AVX-512", 0: "libm"}.get(_OFF_LIBM, f"unknown ({_OFF_LIBM} of 1001 exp values off libm)")
+# the setting that limits numpy to its AVX2 kernels: the libm path on an AVX-512 host
+AVX2_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _check(got, key, avx512):
+    """got against key's digest on this process's float path; avx512 is its AVX-512 digest."""
+    if FLOAT_PATH not in ("AVX-512", "libm"):
+        pytest.fail(f"no digest table for numpy's float path: {FLOAT_PATH}")
+    want = LIBM_DIGESTS.get(key, avx512) if FLOAT_PATH == "libm" else avx512
+    assert got == want, f"{key} moved on numpy's {FLOAT_PATH} float path"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -128,45 +191,45 @@ def test_sample_digests(literal):
         _sha256(json.dumps(sample(spectrum, SamplerConfig(beta=5.0, seed=seed)).to_dict()).encode())
         for seed in range(len(SAMPLE_DIGESTS[literal]))
     )
-    assert digests == SAMPLE_DIGESTS[literal]
+    _check(digests, ("sample", literal), SAMPLE_DIGESTS[literal])
 
 
 def test_verify_report_digest(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--reps", "5000", "--seed", "7", "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == VERIFY_DIGEST
+    _check(_sha256(out.read_bytes()), "verify", VERIFY_DIGEST)
 
 
 def test_verify_report_digest_at_replica_floor(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--reps", "300", "--seed", "11", "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == VERIFY_FLOOR_DIGEST
+    _check(_sha256(out.read_bytes()), "verify-floor", VERIFY_FLOOR_DIGEST)
 
 
 @pytest.mark.parametrize("literal", sorted(REGION_DIGESTS))
 def test_region_report_digest(literal, tmp_path):
     out = tmp_path / "region.json"
     assert main(["region", "--spec", literal, "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == REGION_DIGESTS[literal]
+    _check(_sha256(out.read_bytes()), ("region", literal), REGION_DIGESTS[literal])
 
 
 @pytest.mark.parametrize("args", sorted(BOUNDS_DIGESTS))
 def test_bounds_report_digest(args, tmp_path):
     out = tmp_path / "bounds.json"
     assert main(["bounds", *args, "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == BOUNDS_DIGESTS[args]
+    _check(_sha256(out.read_bytes()), ("bounds", args), BOUNDS_DIGESTS[args])
 
 
 def test_cli_sample_report_digest(tmp_path):
     out = tmp_path / "sample.json"
     assert main(["sample", "--region", "disc:0.9", "--format", "json", "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == CLI_SAMPLE_DIGEST
+    _check(_sha256(out.read_bytes()), "cli sample", CLI_SAMPLE_DIGEST)
 
 
 @pytest.mark.parametrize("radius, n", sorted(COUNT_PMF_DIGESTS))
 def test_count_pmf_digest(radius, n):
     pmf = count_pmf(BergmanSpectrum.disc(radius).eigenvalues(n)).pmf
-    assert _sha256(pmf.tobytes()) == COUNT_PMF_DIGESTS[radius, n]
+    _check(_sha256(pmf.tobytes()), ("count_pmf", radius, n), COUNT_PMF_DIGESTS[radius, n])
 
 
 def test_count_pmf_digest_of_random_spectra():
@@ -175,4 +238,24 @@ def test_count_pmf_digest_of_random_spectra():
     assert len(long) == 29
     for lam in long:
         digest.update(count_pmf(lam).pmf.tobytes())
-    assert digest.hexdigest() == RANDOM_COUNT_PMF_DIGEST
+    _check(digest.hexdigest(), "random count_pmf", RANDOM_COUNT_PMF_DIGEST)
+
+
+def test_digests_on_the_libm_path():
+    # numpy reads the setting at import, so the file runs in a fresh process;
+    # the child checks that it took the libm path before it runs the tests
+    if FLOAT_PATH == "libm":
+        pytest.skip("this process already runs the libm path")
+    child = (
+        "import sys, pytest, test_digests\n"
+        "assert test_digests.FLOAT_PATH == 'libm', test_digests.FLOAT_PATH\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', test_digests.__file__]))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX2_ONLY}
+    env["PYTHONPATH"] = os.pathsep.join([here, src, env.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", child], cwd=here, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
