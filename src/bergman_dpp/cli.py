@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import __version__
 from .bounds import build_bound_report
@@ -44,22 +45,25 @@ def _g17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _emit(text: str, out: str | None):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _plain(obj):
+    # a library object in a report converts only when the report is written
+    return obj.to_dict() if hasattr(obj, "to_dict") else obj.tolist()
+
+
+def _write(args, config: dict, results: list, lines=None) -> None:
+    """The one writer: the CSV lines (a lazy iterator, run only here) under
+    --format csv, else the JSON report {version, config, results}, then one
+    newline, to --out (a file) or to stdout when --out is absent or -."""
+    if lines is not None and args.format == "csv":
+        text = "\n".join(lines)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-
-
-def _report(config: dict, results: list[dict]) -> str:
-    return json.dumps(
-        {"version": __version__, "config": config, "results": results}, indent=2
-    )
+        report = {"version": __version__, "config": config, "results": results}
+        text = json.dumps(report, indent=2, default=_plain)
+    if args.out in (None, "-"):
+        print(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
 
 
 def _bergman_spectrum(literal: str) -> BergmanSpectrum:
@@ -82,174 +86,140 @@ def _cmd_sample(args) -> int:
     if args.beta is None and args.n_eigen is None:
         args.beta = 5.0
     config = SamplerConfig(beta=args.beta, n_eigen=args.n_eigen, seed=args.seed)
-    spectrum = _bergman_spectrum(args.region)
-    conf = sample(spectrum, config, replica=args.replica)
-    if args.format == "csv":
-        lines = ["re,im"]
-        lines += [f"{_g17(z.real)},{_g17(z.imag)}" for z in conf.points]
-        _emit("\n".join(lines), args.out)
-    else:
-        cfg = {
-            "region": args.region,
-            "beta": args.beta,
-            "n_eigen": conf.meta.n_eigen,
-            "seed": args.seed,
-            "replica": args.replica,
-            "sampler": conf.meta.sampler,
-        }
-        _emit(_report(cfg, [{"name": "sample", "values": conf.to_dict()}]), args.out)
+    conf = sample(_bergman_spectrum(args.region), config, replica=args.replica)
+    cfg = {
+        "region": args.region,
+        "beta": args.beta,
+        "n_eigen": conf.meta.n_eigen,
+        "seed": args.seed,
+        "replica": args.replica,
+        "sampler": conf.meta.sampler,
+    }
+    lines = chain(["re,im"], (f"{_g17(z.real)},{_g17(z.imag)}" for z in conf.points))
+    _write(args, cfg, [{"name": "sample", "values": conf}], lines)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    if (args.region is None) == (args.ginibre is None):
-        raise DomainError("provide exactly one of --region or --ginibre")
     if args.region is not None:
-        spec = _bergman_spectrum(args.region)
-        label = args.region
+        spec, label = _bergman_spectrum(args.region), args.region
     else:
-        spec = GinibreSpectrum(args.ginibre)
-        label = f"ginibre:{args.ginibre}"
-    lam = spec.eigenvalues(args.n_eigen)
-    trace = spec.trace()
-    if args.format == "csv":
-        lines = ["n,eigenvalue"]
-        lines += [f"{n},{_g17(v)}" for n, v in enumerate(lam)]
-        lines.append(f"# trace={_g17(trace)}")
-        _emit("\n".join(lines), args.out)
-    else:
-        cfg = {"spectrum": label, "n_eigen": args.n_eigen}
-        values = {"eigenvalues": [float(v) for v in lam], "trace": float(trace)}
-        _emit(_report(cfg, [{"name": "spectrum", "values": values}]), args.out)
+        spec, label = GinibreSpectrum(args.ginibre), f"ginibre:{args.ginibre}"
+    lam, trace = spec.eigenvalues(args.n_eigen), float(spec.trace())
+
+    def lines():  # the trace line too is formatted only for a CSV run
+        yield "n,eigenvalue"
+        yield from (f"{n},{_g17(v)}" for n, v in enumerate(lam))
+        yield f"# trace={_g17(trace)}"
+
+    results = [{"name": "spectrum", "values": {"eigenvalues": lam, "trace": trace}}]
+    _write(args, {"spectrum": label, "n_eigen": args.n_eigen}, results, lines())
     return 0
 
 
 def _cmd_bounds(args) -> int:
     rep = build_bound_report(args.radius, beta=args.beta, n_eigen=args.n_eigen)
     cfg = {"radius": args.radius, "beta": args.beta, "n_eigen": rep.n_eigen}
-    _emit(_report(cfg, [{"name": "bounds", "values": rep.to_dict()}]), args.out)
+    _write(args, cfg, [{"name": "bounds", "values": rep}])
     return 0
 
 
 def _cmd_region(args) -> int:
     parsed = parse_region_literal(args.spec)
-    deltas = args.delta if args.delta else list(_DELTAS)
-    results = []
+    deltas = args.delta or _DELTAS
     if isinstance(parsed, FamilySpec):
-        build = construct_family(parsed)
-        total = family_trace_closed_form(parsed)
-        values = {
-            "intervals": [[a, b] for a, b in build.region.intervals],
-            "materialized_trace": build.materialized_trace,
-            "residual_weight": build.residual_weight,
+        target = construct_family(parsed)
+        region, total = target.region, family_trace_closed_form(parsed)
+        name, values = "family", {
+            "materialized_trace": target.materialized_trace,
+            "residual_weight": target.residual_weight,
             "closed_form_trace": total,
-            "max_logit_defect": max(build.logit_defects, default=0.0),
-            "dropped_intervals": build.dropped_intervals,
-            "dropped_trace": build.dropped_trace,
-            "measure": region_measure(build.region),
+            "max_logit_defect": max(target.logit_defects, default=0.0),
+            "dropped_intervals": target.dropped_intervals,
+            "dropped_trace": target.dropped_trace,
         }
-        results.append({"name": "family", "values": values})
-        target = build
         diagnostic = (
             "summable annulus weights: full-family trace "
             f"{total!r} = seed term + total weight {parsed.weights.total()!r}"
         )
     else:
+        target = region = parsed
         total = region_trace(parsed)
-        values = {
-            "intervals": [[a, b] for a, b in parsed.intervals],
-            "trace": total,
-            "measure": region_measure(parsed),
-        }
-        results.append({"name": "region", "values": values})
-        target = parsed
+        name, values = "region", {"trace": total}
         diagnostic = "empty region: no intervals, trace 0.0"
         if parsed.intervals:
             diagnostic = (
                 f"finitely many intervals with outer radius {parsed.intervals[-1][1]} < 1; "
                 f"closed-form trace {total!r}"
             )
+    # one row for the region or family, one per delta, one for the trace
+    values = {"intervals": region.intervals, **values, "measure": region_measure(region)}
+    results = [{"name": name, "values": values}]
     for d in deltas:
-        results.append(
-            {"name": f"properties:delta={d}", "values": check_properties(target, d).to_dict()}
-        )
+        results.append({"name": f"properties:delta={d}", "values": check_properties(target, d)})
     finite = {"finite": True, "trace": total, "diagnostic": diagnostic}
     results.append({"name": "finite-trace", "values": finite})
-    _emit(_report({"spec": args.spec, "deltas": deltas}, results), args.out)
+    _write(args, {"spec": args.spec, "deltas": deltas}, results)
     return 0
 
 
 def _cmd_moduli(args) -> int:
-    rng = make_rng(args.seed, 0, PHASE_MODULI)
-    values = sample_moduli(args.count, rng)
-    if args.format == "csv":
-        lines = ["k,modulus"]
-        lines += [f"{k + 1},{_g17(v)}" for k, v in enumerate(values)]
-        _emit("\n".join(lines), args.out)
-    else:
-        cfg = {"count": args.count, "seed": args.seed}
-        _emit(
-            _report(cfg, [{"name": "moduli", "values": {"moduli": [float(v) for v in values]}}]),
-            args.out,
-        )
+    values = sample_moduli(args.count, make_rng(args.seed, 0, PHASE_MODULI))
+    lines = chain(["k,modulus"], (f"{k},{_g17(v)}" for k, v in enumerate(values, 1)))
+    results = [{"name": "moduli", "values": {"moduli": values}}]
+    _write(args, {"count": args.count, "seed": args.seed}, results, lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
     results = verify_gates(args.seed, args.reps)
-    _emit(_report({"reps": args.reps, "seed": args.seed}, list(results)), args.out)
+    _write(args, {"reps": args.reps, "seed": args.seed}, list(results))
     return 0 if all(r["verdict"] == "pass" for r in results) else 2
 
 
 def _build_parser() -> _Parser:
+    # the flags several commands share, each declared once
+    out, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out", default=None, help="output file (default: stdout, also for -)")
+    seed.add_argument("--seed", type=int, default=0)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+
     p = _Parser(prog="bergman-dpp", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sample", help="draw one configuration", parents=[], add_help=True)
+    sp = sub.add_parser("sample", help="draw one configuration", parents=[seed, fmt, out])
     sp.add_argument("--region", required=True, help="disc:R | annulus:r:R | intervals:a-b,... | family:...")
     sp.add_argument("--beta", type=float, default=None, help="truncation multiplier (default 5 if no --n-eigen)")
     sp.add_argument("--n-eigen", type=int, default=None, help="explicit truncation order")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replica", type=int, default=0)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_sample)
 
-    sp = sub.add_parser("spectrum", help="eigenvalue table and trace")
-    sp.add_argument("--region", default=None)
-    sp.add_argument("--ginibre", type=float, default=None, help="Ginibre disc radius")
+    sp = sub.add_parser("spectrum", help="eigenvalue table and trace", parents=[fmt, out])
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--region", default=None)
+    source.add_argument("--ginibre", type=float, default=None, help="Ginibre disc radius")
     sp.add_argument("--n-eigen", type=int, required=True)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("bounds", help="truncation bound report")
+    sp = sub.add_parser("bounds", help="truncation bound report", parents=[out])
     sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--n-eigen", type=int, default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_bounds)
 
-    sp = sub.add_parser("region", help="region diagnostics")
+    sp = sub.add_parser("region", help="region diagnostics", parents=[out])
     sp.add_argument("--spec", required=True)
     sp.add_argument("--delta", type=float, action="append", default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_region)
 
-    sp = sub.add_parser("moduli", help="one powered-uniform moduli draw")
+    sp = sub.add_parser("moduli", help="one powered-uniform moduli draw", parents=[seed, fmt, out])
     sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_moduli)
 
-    sp = sub.add_parser("verify", help="run the verification gates")
+    sp = sub.add_parser("verify", help="run the verification gates", parents=[seed, out])
     sp.add_argument("--reps", type=int, default=20_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
-
     return p
 
 
@@ -258,11 +228,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return int(code) if isinstance(code, int) else 1
+    except SystemExit as exc:  # --help and --version exit with 0, _Parser.error with 1
+        return exc.code if isinstance(exc.code, int) else int(exc.code is not None)
     except (BergmanDPPError, OSError) as exc:  # OSError: an --out file that cannot be written
         print(f"bergman-dpp: error: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,10 @@ arguments are checked: a count, index or seed must be a finite real equal
 to an integer in range, a bounded real a finite real inside its interval,
 an interval or bin an increasing pair of such reals, an array of reals
 (of indices) a rectangular array whose every element passes as a bounded
-real (as an integer in range); anything else raises the named error
-instead of escaping as a bare TypeError, ValueError or OverflowError or
-being truncated silently."""
+real (as an integer in range), a list an iterable, a library object an
+instance of its class; anything else raises the named error instead of
+escaping as a bare TypeError, ValueError, AttributeError or OverflowError
+or being truncated silently."""
 
 import math
 
@@ -131,6 +132,22 @@ def _as_ints(values, name: str, minimum: int, maximum: int, error=DomainError):
     if bad.any():
         _as_int(arr[bad][0].item(), name, minimum, maximum, error)
     return arr.astype(np.int64)
+
+
+def _items(values, name: str, error=DomainError) -> list:
+    """The items of an iterable as a list, each left for the caller's rule."""
+    try:
+        return list(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _of_type(value, kind, name: str, error=DomainError):
+    """value if it is an instance of kind (a class or a tuple of them), else error."""
+    if not isinstance(value, kind):
+        want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be a {want}, got {type(value).__name__}")
+    return value
 
 
 def _elements(values, name: str, error=DomainError) -> list:

@@ -28,7 +28,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Union
 
-from .errors import _INDEX_END, DomainError, RegionError, _as_int, _as_pair, _as_real
+from .errors import _INDEX_END, RegionError, _as_int, _as_pair, _as_real, _items, _of_type
 
 __all__ = [
     "RadialRegion",
@@ -66,7 +66,7 @@ class RadialRegion:
     def __post_init__(self):
         # 0 <= a_0 < b_0 < a_1 < ... < b_last < 1, each endpoint bounded by the one before
         pairs, low, ends = [], 0, "[)"
-        for j, pair in enumerate(self.intervals):
+        for j, pair in enumerate(_items(self.intervals, "intervals", RegionError)):
             pairs.append(_as_pair(pair, f"interval {j}", low, 1, RegionError, ends))
             low, ends = pairs[-1][1], "()"
         object.__setattr__(self, "intervals", tuple(pairs))
@@ -104,7 +104,7 @@ def make_region(intervals) -> RadialRegion:
     lists with a diagnostic naming the violated invariant.
     """
     cleaned: list[list[float]] = []
-    for j, pair in enumerate(intervals):
+    for j, pair in enumerate(_items(intervals, "intervals", RegionError)):
         # a < b is checked here too: a reversed pair must not merge into a valid one
         a, b = _as_pair(pair, f"interval {j}", error=RegionError)
         if cleaned and a == cleaned[-1][1]:
@@ -190,6 +190,7 @@ class FamilySpec:
     def __post_init__(self):
         a0 = _as_real(self.a0, "family seed a0", 0, 1, RegionError)
         _as_real(self.b0, "family seed b0", a0, 1, RegionError)
+        _of_type(self.weights, GeometricWeights, "family weights", RegionError)
         count = _as_int(self.count, "family count", 1, error=RegionError)
         object.__setattr__(self, "count", count)
         if self.rule not in _RULES:
@@ -283,6 +284,7 @@ def construct_family(spec: FamilySpec) -> FamilyBuild:
     certified on the native endpoints.
     """
     import mpmath as mp  # here, not at module level: sample and verify never load it
+    spec = _of_type(spec, FamilySpec, "family spec", RegionError)
     base = 60 + 2 * spec.count
     built = None
     for dps in (base, 2 * base, 4 * base, 8 * base):
@@ -366,7 +368,7 @@ def check_properties(
     ceil(log(gap0 / delta) / log(1 / contraction)).
     """
     delta = _as_real(delta, "delta", 0, 1, ends="(]")
-
+    obj = _of_type(obj, (RadialRegion, FamilySpec, FamilyBuild), "region")
     if isinstance(obj, FamilySpec):
         obj = construct_family(obj)
 
@@ -380,13 +382,10 @@ def check_properties(
         if delta < gap0:
             predicted = math.ceil(math.log(gap0 / delta) / math.log(1.0 / spec.contraction()))
         horizon, contact = spec.count, True
-    elif isinstance(obj, RadialRegion):
+    else:
         endpoints, threshold = obj.intervals, 1.0 - delta
         measure, predicted = region_measure(obj), None
         horizon, contact = len(endpoints), None
-    else:
-        kind = type(obj).__name__
-        raise DomainError(f"expected RadialRegion, FamilySpec or FamilyBuild, got {kind}")
 
     # [a, b] meets (1 - delta, 1) on (max(a, 1-delta), b], open iff b > 1 - delta
     witness = next((j for j, (_, b) in enumerate(endpoints) if b > threshold), None)

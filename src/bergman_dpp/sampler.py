@@ -208,6 +208,8 @@ def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
     if type(spectrum) is BergmanSpectrum:
         return spectrum._plan_eigenvalues(n_eigen)
+    if not callable(getattr(spectrum, "eigenvalues", None)):
+        raise DomainError(f"a spectrum needs an eigenvalues(n) method, {spectrum!r} has none")
     lam = _as_reals(spectrum.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
     if lam.shape != (n_eigen,):
         raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_real, _as_reals, _elements
+from .errors import _of_type
 from .regions import RadialRegion, annulus as _annulus, disc as _disc, region_trace
 
 __all__ = [
@@ -63,9 +64,7 @@ class BergmanSpectrum:
     """
 
     def __init__(self, region: RadialRegion):
-        if not isinstance(region, RadialRegion):
-            raise DomainError(f"expected a RadialRegion, got {type(region).__name__}")
-        if region.is_empty:
+        if _of_type(region, RadialRegion, "region").is_empty:
             raise DomainError("cannot build a spectrum over an empty region")
         self.region = region
         self._literal = region.literal()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import build_bound_report, chernoff_lower, chernoff_upper
 from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals
-from .errors import _elements
+from .errors import _elements, _items, _of_type
 from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
 from .sampler import _eigenvalues, _moduli, _single_index_points
 from .spectral import BergmanSpectrum
@@ -62,7 +62,9 @@ class CountDistribution:
     """Exact Poisson-binomial law of the point count under truncation."""
 
     def __init__(self, pmf):
-        self.pmf = np.asarray(pmf, dtype=float)
+        self.pmf = _as_reals(pmf, "pmf", 0, 1, ends="[]")
+        if self.pmf.ndim != 1:
+            raise DomainError("pmf must be a one-dimensional array of probabilities")
         self._cdf = np.cumsum(self.pmf)
 
     def __len__(self):
@@ -249,6 +251,7 @@ def count_gof(
     of freedom are merged cells minus one.
     """
     alpha = _as_real(alpha, "alpha", 0, 1)
+    dist = _of_type(dist, CountDistribution, "count law")
     obs = _as_reals(histogram, "histogram", 0, ends="[)")
     if obs.ndim != 1 or obs.size == 0:
         raise DomainError("histogram must be a one-dimensional array of counts")
@@ -306,18 +309,15 @@ def intensity_profile_test(
     conservative.
     """
     alpha = _as_real(alpha, "alpha", 0, 1)
-    configs = list(configs)
+    configs = [_of_type(c, PointConfiguration, "configuration") for c in _items(configs, "configs")]
     if not configs:
         raise DomainError("no configurations supplied")
-    for c in configs:
-        if not isinstance(c, PointConfiguration):
-            raise DomainError(f"expected PointConfiguration, got {type(c).__name__}")
     n_eigen = configs[0].meta.n_eigen
     if any(c.meta.n_eigen != n_eigen for c in configs):
         raise DomainError("configurations mix different truncation orders")
 
     cleaned: list[tuple[float, float]] = []
-    for pair in bins:
+    for pair in _items(bins, "bins"):
         r1, r2 = _as_pair(pair, "bin", 0, ends="[)")
         if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
             raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
@@ -394,7 +394,7 @@ def _ks_gate(name: str, samples, cdf) -> GofReport:
 
 def chernoff_consistency(dist: CountDistribution, cs) -> list[dict]:
     """Exact Poisson-binomial tails against both Chernoff bounds, per fraction."""
-    m = dist.mean()
+    m = _of_type(dist, CountDistribution, "count law").mean()
     rows = []
     for c in _elements(cs, "Chernoff fractions"):
         c = _as_real(c, "Chernoff fraction c", 0, 1)

@@ -14,6 +14,7 @@ from bergman_dpp import verify
 from bergman_dpp import (
     ActiveIndexSet,
     BergmanSpectrum,
+    CountDistribution,
     DomainError,
     FamilySpec,
     GeometricWeights,
@@ -29,6 +30,7 @@ from bergman_dpp import (
     chernoff_lower,
     chernoff_upper,
     coincidence_probability,
+    construct_family,
     count_gof,
     count_pmf,
     coupling_tail,
@@ -295,3 +297,42 @@ def test_verify_gates_checks_arguments_first(seed, reps, monkeypatch):
 def test_ks_statistic_cdf_not_callable(cdf):
     with pytest.raises(DomainError):
         ks_statistic([0.1, 0.2], cdf)
+
+
+# an argument of the wrong kind: a list that is not iterable, an object
+# that is not the library's, a count law that is not a law
+WRONG_KIND_CASES = [
+    ("RadialRegion-None", lambda: RadialRegion(None), RegionError),
+    ("make_region-None", lambda: make_region(None), RegionError),
+    ("make_region-5", lambda: make_region(5), RegionError),
+    ("intensity_profile_test.configs-None", lambda: intensity_profile_test(None, SPEC, [(0.1, 0.5)]), DomainError),
+    ("intensity_profile_test.bins-None", lambda: intensity_profile_test(CONFS, SPEC, None), DomainError),
+    ("FamilySpec.weights-None", lambda: FamilySpec(0.2, 0.3, None, 5), RegionError),
+    ("construct_family-None", lambda: construct_family(None), RegionError),
+    ("bernoulli_phase.spectrum-None", lambda: bernoulli_phase(None, 5, make_rng(0)), DomainError),
+    ("sample.spectrum-None", lambda: sample(None, SamplerConfig(n_eigen=5)), DomainError),
+    ("mc_count_stats.spectrum-None", lambda: mc_count_stats(None, SamplerConfig(n_eigen=5), 10), DomainError),
+    ("count_gof.dist-x", lambda: count_gof([5, 5], "x"), DomainError),
+    ("chernoff_consistency.dist-x", lambda: chernoff_consistency("x", [0.1]), DomainError),
+    ("CountDistribution-x", lambda: CountDistribution("x"), DomainError),
+    ("CountDistribution-nan", lambda: CountDistribution([NAN, 1.0]), DomainError),
+    ("CountDistribution-negative", lambda: CountDistribution([-0.5, 1.5]), DomainError),
+    ("CountDistribution-2d", lambda: CountDistribution([[0.5, 0.5]]), DomainError),
+]
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(c, e, id=n) for n, c, e in WRONG_KIND_CASES])
+def test_wrong_kind_raises_named_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_duck_typed_spectra_kept():
+    # a spectrum is anything with an eigenvalues(n) method
+    class Halves:
+        def eigenvalues(self, n):
+            return np.full(n, 0.5)
+
+    for spectrum in (GIN, Halves()):
+        assert bernoulli_phase(spectrum, 5, make_rng(0)).n_eigen == 5
+        assert mc_count_stats(spectrum, SamplerConfig(n_eigen=5), 10).reps == 10

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bergman_dpp import SamplerConfig, cli, regions, sample
+from bergman_dpp import PHASE_MODULI, GinibreSpectrum, SamplerConfig, cli, make_rng, regions
+from bergman_dpp import sample, sample_moduli
 from bergman_dpp.cli import main, parse_sample_report
 from bergman_dpp.spectral import BergmanSpectrum
 
@@ -352,3 +357,121 @@ def test_verify_fails_on_a_wrong_proposal_table(tmp_path, monkeypatch):
     verdicts = {r["name"]: r.get("verdict", "pass") for r in json.loads(out.read_text())["results"]}
     assert verdicts.pop("positional-law:disc:0.8:index=0") == "fail"
     assert set(verdicts.values()) == {"pass"}
+
+
+# -----------------------------------------------------------------------------
+# exact output: every table and report byte, rebuilt from the library values
+# with the 17-digit format, so no pin depends on the float path
+# -----------------------------------------------------------------------------
+def _g17(v):
+    return f"{float(v):.17g}"
+
+
+def _report(config, results):
+    return json.dumps({"version": "0.1.0", "config": config, "results": results}, indent=2) + "\n"
+
+
+def test_sample_csv_exact(capsys):
+    # the default truncation is beta = 5
+    conf = sample(BergmanSpectrum.annulus(0.5, 0.95), SamplerConfig(beta=5.0, seed=4), replica=3)
+    assert len(conf.points) > 3
+    rc, out, _ = run(capsys, "sample", "--region", "annulus:0.5:0.95", "--seed", "4", "--replica", "3")
+    assert rc == 0
+    assert out == "re,im\n" + "".join(f"{_g17(z.real)},{_g17(z.imag)}\n" for z in conf.points)
+
+
+SPECTRA = [
+    ("intervals:0.1-0.3,0.5-0.7", "intervals:0.1-0.3,0.5-0.7", lambda: BergmanSpectrum(
+        regions.make_region([(0.1, 0.3), (0.5, 0.7)]))),
+    ("--ginibre", "ginibre:1.5", lambda: GinibreSpectrum(1.5)),
+]
+
+
+@pytest.mark.parametrize("source, label, build", SPECTRA, ids=[s[1] for s in SPECTRA])
+def test_spectrum_csv_and_json_exact(source, label, build, capsys):
+    spec, n = build(), 6
+    lam, trace = spec.eigenvalues(n), spec.trace()
+    argv = ["--region", source] if source != "--ginibre" else ["--ginibre", "1.5"]
+    rc, csv_out, _ = run(capsys, "spectrum", *argv, "--n-eigen", str(n))
+    assert rc == 0
+    rows = "".join(f"{k},{_g17(v)}\n" for k, v in enumerate(lam))
+    assert csv_out == f"n,eigenvalue\n{rows}# trace={_g17(trace)}\n"
+    rc, json_out, _ = run(capsys, "spectrum", *argv, "--n-eigen", str(n), "--format", "json")
+    assert rc == 0
+    values = {"eigenvalues": [float(v) for v in lam], "trace": float(trace)}
+    assert json_out == _report(
+        {"spectrum": label, "n_eigen": n}, [{"name": "spectrum", "values": values}]
+    )
+
+
+def test_moduli_csv_and_json_exact(capsys):
+    values = sample_moduli(5, make_rng(12, 0, PHASE_MODULI))
+    rc, csv_out, _ = run(capsys, "moduli", "--count", "5", "--seed", "12")
+    assert rc == 0
+    assert csv_out == "k,modulus\n" + "".join(f"{k},{_g17(v)}\n" for k, v in enumerate(values, 1))
+    rc, json_out, _ = run(capsys, "moduli", "--count", "5", "--seed", "12", "--format", "json")
+    assert rc == 0
+    assert json_out == _report(
+        {"count": 5, "seed": 12},
+        [{"name": "moduli", "values": {"moduli": [float(v) for v in values]}}],
+    )
+
+
+EVERY_OUTPUT = [
+    ("sample", "--region", "disc:0.8", "--n-eigen", "6", "--seed", "5"),
+    ("sample", "--region", "disc:0.8", "--n-eigen", "6", "--seed", "5", "--format", "json"),
+    ("spectrum", "--ginibre", "2.0", "--n-eigen", "4"),
+    ("spectrum", "--region", "disc:0.7", "--n-eigen", "4", "--format", "json"),
+    ("bounds", "--radius", "0.8", "--beta", "2"),
+    ("region", "--spec", "annulus:0.5:0.9", "--delta", "0.2"),
+    ("moduli", "--count", "3", "--seed", "2"),
+    ("moduli", "--count", "3", "--seed", "2", "--format", "json"),
+    ("verify", "--reps", "300", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_OUTPUT, ids=[" ".join(a) for a in EVERY_OUTPUT])
+def test_out_file_matches_stdout(argv, tmp_path, capsys):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.endswith("\n") and not out.endswith("\n\n")
+    for target in (tmp_path / "report.txt", "-"):
+        rc, again, _ = run(capsys, *argv, "--out", str(target))
+        assert rc == 0
+        assert (target.read_text(encoding="utf-8") if target != "-" else again) == out
+        assert again == ("" if target != "-" else out)
+
+
+@pytest.mark.parametrize("command", ["sample", "spectrum", "moduli"])
+def test_only_the_requested_format_is_built(command, capsys, monkeypatch):
+    # a JSON run formats no CSV line, and a CSV run dumps no JSON report
+    argv = {
+        "sample": ("sample", "--region", "disc:0.9", "--n-eigen", "9", "--seed", "1"),
+        "spectrum": ("spectrum", "--region", "disc:0.9", "--n-eigen", "5"),
+        "moduli": ("moduli", "--count", "4"),
+    }[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other format was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_g17", refuse)
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", refuse)
+        assert run(capsys, *argv, "--format", "csv")[0] == 0
+
+
+def _module(*argv):
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "bergman_dpp.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point():
+    done = _module("--version")
+    assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+    done = _module("moduli", "--count", "2", "--nope")
+    assert done.returncode == 1 and done.stdout == ""
+    assert "unrecognized arguments: --nope" in done.stderr

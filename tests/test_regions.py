@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bergman_dpp import regions
 from bergman_dpp import (
+    DomainError,
     FamilySpec,
     GeometricWeights,
     RadialRegion,
@@ -249,6 +251,34 @@ def test_check_properties_delta_domain(midpoint_family):
         check_properties(midpoint_family, 1.5)
 
 
+@pytest.mark.parametrize("obj", ["disc:0.9", None, ((0.0, 0.9),)])
+def test_check_properties_wrong_type(obj):
+    with pytest.raises(DomainError, match="region must be a RadialRegion or FamilySpec or FamilyBuild"):
+        check_properties(obj, 0.1)
+
+
+def test_family_precision_ladder(monkeypatch):
+    # construction climbs 60 + 2K digits, then twice, four and eight times as
+    # many, until the annuli separate; offset:0.99 needs the second rung
+    tried = []
+    build = regions._build_at_precision
+
+    def spy(spec, dps):
+        tried.append(dps)
+        return build(spec, dps)
+
+    monkeypatch.setattr(regions, "_build_at_precision", spy)
+    spec = parse_region_literal("family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=30,rule=offset:0.99")
+    assert construct_family(spec).spec == spec
+    assert tried == [120, 240]
+    # a rule this close to 1 exhausts the ladder
+    tried.clear()
+    spec = parse_region_literal("family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=40,rule=offset:0.999999999999999")
+    with pytest.raises(RegionError, match="even at 1120 digits"):
+        construct_family(spec)
+    assert tried == [140, 280, 560, 1120]
+
+
 # -----------------------------------------------------------------------------
 # literals round-trip
 # -----------------------------------------------------------------------------
@@ -277,6 +307,8 @@ def test_family_literal_roundtrip(midpoint_family):
         "intervals:0.1,0.2",
         "family:a0=0.2,b0=0.3",
         "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=x",
+        # a field without its value
+        "family:a0",
         # an unknown field (a misspelled rule must not fall back to the
         # midpoint rule) or a repeated one (it must not silently win)
         "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rul=offset:0.3",

@@ -182,6 +182,15 @@ def test_bernoulli_phase_validation(disc09):
         bernoulli_phase(BadSpectrum(), 4, rng)
 
 
+def test_spectrum_must_provide_every_eigenvalue():
+    class Short:
+        def eigenvalues(self, n):
+            return np.full(n - 1, 0.5)
+
+    with pytest.raises(DomainError, match="spectrum must provide 5 eigenvalues"):
+        bernoulli_phase(Short(), 5, make_rng(0))
+
+
 def test_nan_eigenvalue_rejected():
     # a NaN compares False with every uniform, so unchecked it would leave its
     # index silently unselected
