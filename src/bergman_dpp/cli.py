@@ -75,11 +75,13 @@ def _bergman_spectrum(literal: str) -> BergmanSpectrum:
 
 def parse_sample_report(text: str) -> PointConfiguration:
     """Rebuild the PointConfiguration from a JSON sample report."""
-    data = json.loads(text)
-    for row in data["results"]:
-        if row["name"] == "sample":
-            return PointConfiguration.from_dict(row["values"])
-    raise DomainError("report contains no sample result")
+    try:
+        rows = [row["values"] for row in json.loads(text)["results"] if row["name"] == "sample"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise DomainError(f"not a sample report: {exc!r}") from None
+    if not rows:
+        raise DomainError("report contains no sample result")
+    return PointConfiguration.from_dict(rows[0])
 
 
 def _cmd_sample(args) -> int:

@@ -4,9 +4,10 @@ to an integer in range, a bounded real a finite real inside its interval,
 an interval or bin an increasing pair of such reals, an array of reals
 (of indices) a rectangular array whose every element passes as a bounded
 real (as an integer in range), a list an iterable, a library object an
-instance of its class; anything else raises the named error instead of
-escaping as a bare TypeError, ValueError, AttributeError or OverflowError
-or being truncated silently."""
+instance of its class, a generator anything with a random() method;
+anything else raises the named error instead of escaping as a bare
+TypeError, ValueError, AttributeError or OverflowError or being truncated
+silently."""
 
 import math
 
@@ -148,6 +149,13 @@ def _of_type(value, kind, name: str, error=DomainError):
         want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise error(f"{name} must be a {want}, got {type(value).__name__}")
     return value
+
+
+def _generator(rng, error=DomainError):
+    """rng if it has a random() method, as numpy's Generator has, else error."""
+    if not callable(getattr(rng, "random", None)):
+        raise error(f"rng must be a random generator, got {type(rng).__name__}")
+    return rng
 
 
 def _elements(values, name: str, error=DomainError) -> list:

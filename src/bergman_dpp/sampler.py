@@ -53,10 +53,12 @@ from .errors import (
     _as_int,
     _as_real,
     _as_reals,
+    _generator,
+    _of_type,
     _truncation,
 )
 from .spectral import BergmanSpectrum, GinibreSpectrum
-from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _replica_uniforms, make_rng
+from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms, make_rng
 
 __all__ = [
     "GS_NORM_FLOOR",
@@ -191,14 +193,16 @@ class PointConfiguration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointConfiguration":
-        pts = tuple(complex(p["re"], p["im"]) for p in data["points"])
-        return cls(points=pts, meta=SampleMeta.from_dict(data["meta"]))
+        try:
+            pts = tuple(complex(p["re"], p["im"]) for p in data["points"])
+            return cls(points=pts, meta=SampleMeta.from_dict(data["meta"]))
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise DomainError(f"not a sample configuration: {exc!r}") from None
 
 
 def default_truncation(spectrum, beta: float) -> int:
     """ceil(beta * trace), at least 1; needs a closed-form-trace spectrum."""
-    if not isinstance(spectrum, (BergmanSpectrum, GinibreSpectrum)):
-        raise DomainError("default truncation needs a Bergman or Ginibre spectrum")
+    spectrum = _of_type(spectrum, (BergmanSpectrum, GinibreSpectrum), "spectrum")
     return _truncation(beta, spectrum.trace())
 
 
@@ -219,7 +223,7 @@ def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
     """Select each index n < n_eigen independently with probability lambda_n."""
     lam = _eigenvalues(spectrum, n_eigen)
-    return ActiveIndexSet._of_hits(rng.random(lam.size) < lam)
+    return ActiveIndexSet._of_hits(_generator(rng).random(lam.size) < lam)
 
 
 def _mixture(spectrum, idx, n_eigen):
@@ -263,10 +267,9 @@ def sample_positions(
     rng: np.random.Generator,
 ) -> PointConfiguration:
     """Draw one position per active index through the residual densities."""
-    if not isinstance(spectrum, BergmanSpectrum):
-        raise DomainError("positional sampling needs a monomial eigenfunction family")
-    if not isinstance(active, ActiveIndexSet):
-        raise DomainError(f"expected an ActiveIndexSet, got {type(active).__name__}")
+    _of_type(spectrum, BergmanSpectrum, "spectrum")
+    _of_type(active, ActiveIndexSet, "active set")
+    _generator(rng)
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
     log_points = []
@@ -375,8 +378,7 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     replica whose row is not such a certain accept goes through
     sample_positions, with its errors.
     """
-    if not isinstance(spectrum, BergmanSpectrum):
-        raise DomainError("positional sampling needs a monomial eigenfunction family")
+    _of_type(spectrum, BergmanSpectrum, "spectrum")
     if not isinstance(active, ActiveIndexSet) or len(active) != 1:
         raise DomainError(f"a one-point draw needs one active index, got {active!r}")
     replicas = _as_int(replicas, "replicas", 0, _REPLICA_END)
@@ -396,13 +398,15 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
 def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -> PointConfiguration:
     """Bernoulli phase then positional phase under one seeded stream."""
     replica = _as_int(replica, "replica", 0, _REPLICA_END)
-    n_eigen = config.resolve_truncation(spectrum)
-    rng = make_rng(config.seed, replica, PHASE_SAMPLE)
-    active = bernoulli_phase(spectrum, n_eigen, rng)
-    conf = sample_positions(spectrum, active, rng)
-    # the positional meta plus seed and replica; dataclasses.replace costs about 1 us more
-    meta = SampleMeta(**{**vars(conf.meta), "seed": config.seed, "replica": replica})
-    return PointConfiguration(points=conf.points, meta=meta)
+    n_eigen = _of_type(config, SamplerConfig, "config").resolve_truncation(spectrum)
+    # the thread's cell, unless another type's methods (user code) could run
+    # between its reset and its draws
+    rng = (_cell if type(spectrum) is BergmanSpectrum else make_rng)(config.seed, replica, PHASE_SAMPLE)
+    conf = sample_positions(spectrum, bernoulli_phase(spectrum, n_eigen, rng), rng)
+    # one report per call: the meta is this call's own, not yet shared
+    object.__setattr__(conf.meta, "seed", config.seed)
+    object.__setattr__(conf.meta, "replica", replica)
+    return conf
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +415,7 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
 
 def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the moduli set {U_k**(1/(2k)), k = 1..n}, U_k iid uniform."""
-    return _moduli(rng, 1, _as_int(n, "count", 1))[0]
+    return _moduli(_generator(rng), 1, _as_int(n, "count", 1))[0]
 
 
 def _moduli(rng: np.random.Generator, reps: int, n: int) -> np.ndarray:

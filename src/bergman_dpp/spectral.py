@@ -174,7 +174,8 @@ class BergmanSpectrum:
             if rows is None:
                 rows = self._rows(np.arange(n))
                 self._plan = (n, lam, rows)
-            return rows[0][idx].reshape(-1, 4), np.cumsum(rows[1][idx]), rows[2][idx]
+            mass = np.add.accumulate(rows[1].take(idx, 0).ravel())
+            return rows[0].take(idx, 0).reshape(-1, 4), mass, rows[2].take(idx)
         key = idx.tobytes()
         memo_key, arrays = self._memo
         if memo_key != key:

@@ -6,14 +6,17 @@ share state and any single replica can be replayed in isolation.  The key
 layout below is part of the reproducibility contract: changing it changes
 every sampled byte.
 
-Many replicas of one (seed, phase) draw their first n uniforms together:
-a Philox4x64-10 block (Salmon et al., SC 2011) is a pure function of (key,
-counter), so `_replica_uniforms` runs its rounds in uint64 numpy over every
-(replica, block) pair, in place in buffers allocated once per pass, the
-bits of each replica's own `make_rng` cell.
+A Philox4x64-10 block (Salmon et al., SC 2011) is a pure function of (key,
+counter): `_cell` loads a key into each thread's one kept generator, the
+bits of `make_rng` without its OS-entropy SeedSequence (a user resets the
+cell before it draws and holds no draw across a `yield` or user code), and
+`_replica_uniforms` runs the rounds in uint64 numpy, in place, over every
+(replica, block) pair of many replicas.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -57,6 +60,22 @@ def make_rng(seed: int, replica: int = 0, phase: int = PHASE_SAMPLE) -> np.rando
     phase = _as_int(phase, "phase tag", 0, 1 << 8)
     key = np.array([seed, (replica << 8) | phase], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_local = threading.local()
+
+
+def _cell(seed: int, replica: int, phase: int) -> np.random.Generator:
+    """This thread's kept generator reset to the fresh make_rng(seed, replica,
+    phase) cell (arguments checked by the caller): counter 0, buffers empty."""
+    if not hasattr(_local, "cell"):
+        rng = make_rng(0)
+        _local.cell = rng, rng.bit_generator.state
+    rng, state = _local.cell
+    key = state["state"]["key"]
+    key[0], key[1] = seed, replica << 8 | phase
+    rng.bit_generator.state = state
+    return rng
 
 
 def _philox_rows(seed: int, replicas: np.ndarray, phase: int, n: int) -> np.ndarray:
@@ -105,7 +124,7 @@ def _replica_uniforms(seed: int, replicas, phase: int, n: int):
     """Yield make_rng(seed, r, phase).random(n) for r in replicas, the same
     bits, as (k, n) blocks in replica order (one (0, n) block for none);
     every argument is checked first.  Rows longer than _VECTOR_ROW come from
-    one generator reset to each replica's fresh cell: no OS entropy per row."""
+    the cell, reset to each replica's: no OS entropy per row."""
     seed = _as_int(seed, "seed", 0, _SEED_END)
     replicas = _as_ints(replicas, "replica", 0, _REPLICA_END)
     phase, n = _as_int(phase, "phase tag", 0, 1 << 8), _as_int(n, "row length", 1)
@@ -114,12 +133,8 @@ def _replica_uniforms(seed: int, replicas, phase: int, n: int):
     if n <= _VECTOR_ROW:
         yield from (_philox_rows(seed, part, phase, n) for part in parts)
         return
-    rng = make_rng(seed, 0, phase)
-    state = rng.bit_generator.state  # a copy of the fresh cell (seed, 0, phase)
     for part in parts:
         rows = np.empty((part.size, n))
         for row, r in zip(rows, part.tolist()):
-            state["state"]["key"][1] = r << 8 | phase
-            rng.bit_generator.state = state
-            rng.random(out=row)
+            _cell(seed, r, phase).random(out=row)
         yield rows

@@ -192,6 +192,7 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     blocks of rows, so their memory does not grow with reps.
     """
     reps = _as_int(reps, "reps", 1, _REPLICA_END)
+    config = _of_type(config, SamplerConfig, "config")
     lam = _eigenvalues(spectrum, config.resolve_truncation(spectrum))
     blocks = _replica_uniforms(config.seed, np.arange(reps), PHASE_BERNOULLI, lam.size)
     counts = np.concatenate([np.count_nonzero(u < lam, axis=1) for u in blocks])
@@ -309,6 +310,7 @@ def intensity_profile_test(
     conservative.
     """
     alpha = _as_real(alpha, "alpha", 0, 1)
+    spectrum = _of_type(spectrum, BergmanSpectrum, "spectrum")
     configs = [_of_type(c, PointConfiguration, "configuration") for c in _items(configs, "configs")]
     if not configs:
         raise DomainError("no configurations supplied")

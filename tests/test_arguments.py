@@ -312,6 +312,13 @@ WRONG_KIND_CASES = [
     ("bernoulli_phase.spectrum-None", lambda: bernoulli_phase(None, 5, make_rng(0)), DomainError),
     ("sample.spectrum-None", lambda: sample(None, SamplerConfig(n_eigen=5)), DomainError),
     ("mc_count_stats.spectrum-None", lambda: mc_count_stats(None, SamplerConfig(n_eigen=5), 10), DomainError),
+    ("sample.config-None", lambda: sample(SPEC, None), DomainError),
+    ("mc_count_stats.config-None", lambda: mc_count_stats(SPEC, None, 10), DomainError),
+    ("bernoulli_phase.rng-None", lambda: bernoulli_phase(SPEC, 5, None), DomainError),
+    ("sample_positions.rng-None", lambda: sample_positions(SPEC, ActiveIndexSet((0, 2), 5), None), DomainError),
+    ("sample_positions.rng-None-empty", lambda: sample_positions(SPEC, ActiveIndexSet((), 5), None), DomainError),
+    ("sample_moduli.rng-None", lambda: sample_moduli(3, None), DomainError),
+    ("intensity_profile_test.spectrum-None", lambda: intensity_profile_test(CONFS, None, [(0.1, 0.5)]), DomainError),
     ("count_gof.dist-x", lambda: count_gof([5, 5], "x"), DomainError),
     ("chernoff_consistency.dist-x", lambda: chernoff_consistency("x", [0.1]), DomainError),
     ("CountDistribution-x", lambda: CountDistribution("x"), DomainError),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergman_dpp import PHASE_MODULI, GinibreSpectrum, SamplerConfig, cli, make_rng, regions
+from bergman_dpp import PHASE_MODULI, DomainError, GinibreSpectrum, SamplerConfig, cli, make_rng, regions
 from bergman_dpp import sample, sample_moduli
 from bergman_dpp.cli import main, parse_sample_report
 from bergman_dpp.spectral import BergmanSpectrum
@@ -142,6 +142,12 @@ def test_sample_report_names_stream_version(capsys):
 def test_parse_sample_report_rejects_other_reports():
     with pytest.raises(Exception):
         parse_sample_report(json.dumps({"version": "0.1.0", "config": {}, "results": []}))
+
+
+@pytest.mark.parametrize("text", ["x", "{}", "[]", '{"results": 5}', '{"results": [5]}', None])
+def test_parse_sample_report_rejects_non_reports(text):
+    with pytest.raises(DomainError):
+        parse_sample_report(text)
 
 
 # -----------------------------------------------------------------------------

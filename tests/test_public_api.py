@@ -47,18 +47,23 @@ def test_spectrum_methods_defined_on_class():
         assert attr in BergmanSpectrum.__dict__
 
 
+def _lines_matching(pattern: str, home: str) -> list[str]:
+    """file:line of every package source line outside home that pattern matches."""
+    regex = re.compile(pattern)
+    package = Path(bergman_dpp.__file__).parent
+    return [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != home
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if regex.search(line)
+    ]
+
+
 def test_integer_rule_only_in_errors():
     # errors._as_int is the one integer-argument rule; hand-written copies of
     # `int(x) != x` elsewhere got NaN, inf, None and strings wrong
-    idiom = re.compile(r"\bint\([^()]*\)\s*!=|!=\s*int\(")
-    package = Path(bergman_dpp.__file__).parent
-    copies = [
-        f"{path.name}:{number}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "errors.py"
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if idiom.search(line)
-    ]
+    copies = _lines_matching(r"\bint\([^()]*\)\s*!=|!=\s*int\(", "errors.py")
     assert not copies, f"integer checks outside errors.py: {copies}"
 
 
@@ -84,16 +89,16 @@ def test_cli_imports_no_private_name():
 def test_generators_built_only_in_streams():
     # streams.py is the one place that knows the Philox key layout; a
     # generator built elsewhere would sidestep it
-    built = re.compile(r"\b(Philox|Generator|default_rng)\s*\(")
-    package = Path(bergman_dpp.__file__).parent
-    builders = [
-        f"{path.name}:{number}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "streams.py"
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if built.search(line)
-    ]
+    builders = _lines_matching(r"\b(Philox|Generator|default_rng)\s*\(", "streams.py")
     assert not builders, f"random generators built outside streams.py: {builders}"
+
+
+def test_generators_rekeyed_only_in_streams():
+    # re-keying a kept generator by loading a state is the cell's trick, and
+    # streams._cell its one home: a copy elsewhere would share the thread's
+    # cell without its reset rule
+    rekeyed = _lines_matching(r"\.bit_generator\.state\s*=(?!=)", "streams.py")
+    assert not rekeyed, f"generators re-keyed outside streams.py: {rekeyed}"
 
 
 def test_package_does_not_import_scipy_stats():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_point_configuration_roundtrip(disc09):
     mods = conf.moduli()
     assert np.all(np.diff(mods) >= 0.0)
     assert len(mods) == len(conf)
+
+
+@pytest.mark.parametrize(
+    "data", [{}, None, [], {"points": []}, {"points": [1], "meta": {}}, {"points": [], "meta": {}}]
+)
+def test_point_configuration_from_dict_rejects_non_reports(data):
+    with pytest.raises(DomainError):
+        PointConfiguration.from_dict(data)
 
 
 def test_sample_meta_stream_version(disc09):
@@ -906,3 +915,61 @@ def test_seed_beyond_key_word_rejected(disc09):
     assert make_rng(top, 3, 1).random(4).tolist() == expect.tolist()
     conf = sample(disc09, SamplerConfig(beta=5.0, seed=top))
     assert conf.meta.seed == top
+
+
+# -----------------------------------------------------------------------------
+# the kept generator of each thread
+# -----------------------------------------------------------------------------
+_LEAVE_CELL = {
+    "fresh": lambda rng: None,
+    "mid-buffer": lambda rng: rng.random(3),
+    "pending 32-bit half": lambda rng: rng.integers(0, 2**32, dtype=np.uint32),
+}
+
+
+@pytest.mark.parametrize("leave", _LEAVE_CELL.values(), ids=_LEAVE_CELL.keys())
+@pytest.mark.parametrize("phase", [PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI])
+def test_cell_matches_make_rng(phase, leave):
+    # however the last user left the cell, a reset gives the fresh cell's bits
+    for seed, replica in [(0, 0), (12, 7), ((1 << 64) - 1, (1 << 56) - 1)]:
+        leave(streams._cell(3, 1, phase))
+        got, want = streams._cell(seed, replica, phase), make_rng(seed, replica, phase)
+        assert got.integers(0, 2**32, 5, dtype=np.uint32).tolist() == want.integers(
+            0, 2**32, 5, dtype=np.uint32
+        ).tolist()
+        assert got.random(9).tobytes() == want.random(9).tobytes()
+
+
+def test_cell_threads_replay_sequential():
+    # each thread keeps its own cell: replicas sampled by interleaved threads
+    # give the reports of a sequential run, byte for byte
+    spectra = (BergmanSpectrum.disc(0.9), BergmanSpectrum.annulus(0.5, 0.9))
+    config = SamplerConfig(beta=5.0, seed=19)
+    jobs = [(spectra[r % 2], config, r) for r in range(200)]
+    want = [repr(sample(*job).to_dict()) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(sample, *job) for job in jobs]
+            got = [repr(f.result(timeout=60).to_dict()) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_sample_builds_one_generator_per_thread(monkeypatch, disc09):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    make = streams.make_rng
+    monkeypatch.setattr(streams, "make_rng", counted)
+    monkeypatch.setattr(sampler, "make_rng", counted)
+    config = SamplerConfig(beta=5.0, seed=8)
+    # a new thread has no cell yet: its first call builds it, and no other does
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(lambda: [sample(disc09, config, r) for r in range(100)]).result(timeout=60)
+    assert len(calls) == 1
