@@ -11,7 +11,7 @@ of the audited invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class BoundReport:
     coincidence_probability: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_bound_report(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import chain
 
 from . import __version__
@@ -179,6 +180,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r["verdict"] == "pass" for r in results) else 2
 
 
+@cache  # one parser per process, built at the first main() call, not at import
 def _build_parser() -> _Parser:
     # the flags several commands share, each declared once
     out, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))

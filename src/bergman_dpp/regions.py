@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import _INDEX_END, RegionError, _as_int, _as_pair, _as_real, _items, _of_type
@@ -353,7 +353,7 @@ class PropertyReport:
     rule_forces_boundary_contact: bool | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_properties(
@@ -434,28 +434,28 @@ def parse_region_literal(text: str) -> Union[RadialRegion, FamilySpec]:
                 pairs.append((float(m.group(1)), float(m.group(2))))
             return make_region(pairs)
         if kind == "family":
-            fields: dict[str, str] = {}
+            given: dict[str, str] = {}
             for token in rest.split(","):
                 key, eq, value = token.partition("=")
                 if not eq:
                     raise RegionError(f"malformed family field {token!r} in {text!r}")
-                if key in fields or key not in _FAMILY_KEYS:
-                    what = "repeated" if key in fields else "unknown"
+                if key in given or key not in _FAMILY_KEYS:
+                    what = "repeated" if key in given else "unknown"
                     raise RegionError(f"{what} family field {key!r} in {text!r}")
-                fields[key] = value
-            missing = set(_FAMILY_KEYS[:-1]) - fields.keys()
+                given[key] = value
+            missing = set(_FAMILY_KEYS[:-1]) - given.keys()
             if missing:
                 raise RegionError(f"family literal missing fields {sorted(missing)}")
-            rule = fields.get("rule", "midpoint")
+            rule = given.get("rule", "midpoint")
             theta = None
             if rule.startswith("offset:"):
                 theta = float(rule.split(":", 1)[1])
                 rule = "offset"
             return FamilySpec(
-                a0=float(fields["a0"]),
-                b0=float(fields["b0"]),
-                weights=GeometricWeights(float(fields["u0"]), float(fields["q"])),
-                count=int(fields["K"]),
+                a0=float(given["a0"]),
+                b0=float(given["b0"]),
+                weights=GeometricWeights(float(given["u0"]), float(given["q"])),
+                count=int(given["K"]),
                 rule=rule,
                 theta=theta,
             )

@@ -166,9 +166,13 @@ class SampleMeta:
     @classmethod
     def from_dict(cls, data: dict) -> "SampleMeta":
         # a field without a default is required; seed, replica and sampler read as None
-        values = {
-            f.name: data[f.name] if f.default is MISSING else data.get(f.name) for f in fields(cls)
-        }
+        try:
+            values = {
+                f.name: data[f.name] if f.default is MISSING else data.get(f.name)
+                for f in fields(cls)
+            }
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise DomainError(f"not a sample meta: {exc!r}") from None
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 

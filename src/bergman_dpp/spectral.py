@@ -73,6 +73,9 @@ class BergmanSpectrum:
         self._b = np.array([b for _, b in region.intervals])
         with np.errstate(divide="ignore"):
             self._log_ratio = np.log(self._a / self._b)  # -inf on a disc
+        # a disc's lambda_n is one power b**(2n+2): the bits of the general
+        # path, whose a**k is 0.0 there, without its expm1 branch
+        self._disc_radius = self._b[0] if self._b.size == 1 and self._a[0] == 0.0 else None
         self._memo = (None, None)  # (idx bytes, _mixture(idx)) of _sampler_mixture
         self._plan = (None, None, None)  # (N, checked eigenvalues, _rows(arange(N)) or None)
 
@@ -96,6 +99,8 @@ class BergmanSpectrum:
 
     def _lambda(self, idx: np.ndarray) -> np.ndarray:
         """lambda_n for each index n of the int64 array idx."""
+        if self._disc_radius is not None:
+            return self._disc_radius ** (2.0 * idx + 2.0)
         e = (2.0 * idx + 2.0)[:, None]
         bp = self._b[None, :] ** e
         ap = self._a[None, :] ** e

@@ -7,7 +7,10 @@ are built side by side by the per-step recursion, in place in one
 contiguous array, and merged pairwise by direct convolution, one tree level
 at a time, with every entry below the smallest normal double flushed to 0.0
 (no reported statistic sees a probability below 2.2e-308, and subnormal
-arithmetic is slow).  That oracle anchors everything else:
+arithmetic is slow).  Many laws share that array: bound_audit's four
+Chernoff laws are one recursion of 50 steps, not four, and each law's tree
+then merges on its own, to the bits of the law alone.  That oracle anchors
+everything else:
 chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits, and the
 dominance chain of the truncation bounds.  All gates run at a fixed
 significance and a fixed seed; a verdict is a pure comparison of statistic
@@ -116,18 +119,30 @@ def count_pmf(eigenvalues) -> CountDistribution:
     and after each level of merges (all its products at once), and a merged
     law keeps only the span of the rest (a Poisson-binomial pmf is
     log-concave, so only its two tails fall below); a product with no entry
-    left is an ArithmeticError.
+    left is an ArithmeticError.  _count_pmfs builds many laws' leaves in one
+    such array; count_pmf is its one-law call.
 
     Count-law contract "tree-64": up to 64 eigenvalues the pmf is bit-equal
     to the flushed per-step recursion divided once by its sum; above 64 only
     low bits move (relative differences below 1e-13 on entries from 1e-280
     up).  A mass that drifts from 1 by more than 1e-9 is a hard error.
     """
-    lam = _as_reals(eigenvalues, "eigenvalues", 0, 1, ends="[]")
-    if lam.ndim != 1:
+    return _count_pmfs([eigenvalues])[0]
+
+
+def _count_pmfs(eigenvalue_arrays) -> list[CountDistribution]:
+    """[count_pmf(lam) for lam in eigenvalue_arrays], to the bit: every law's
+    leaves come from one _leaf_laws recursion, then each law's tree merges
+    on its own."""
+    lams = [_as_reals(lam, "eigenvalues", 0, 1, ends="[]") for lam in eigenvalue_arrays]
+    if any(lam.ndim != 1 for lam in lams):
         raise DomainError("eigenvalues must form a one-dimensional sequence")
-    n = lam.size
-    tree = [(law, 0) for law in _leaf_laws(lam)]  # (law, the count its first entry stands for)
+    return [_merged_law(leaves, lam.size) for lam, leaves in zip(lams, _leaf_laws(lams))]
+
+
+def _merged_law(leaves: np.ndarray, n: int) -> CountDistribution:
+    """The law of n eigenvalues from its leaves' laws, one per row."""
+    tree = [(law, 0) for law in leaves]  # (law, the count its first entry stands for)
     while len(tree) > 1:
         # one level: every pair's product, then one flush and one cut to spans
         pairs = list(zip(tree[::2], tree[1::2]))
@@ -153,16 +168,19 @@ def count_pmf(eigenvalues) -> CountDistribution:
     return CountDistribution(pmf)
 
 
-def _leaf_laws(lam: np.ndarray) -> np.ndarray:
-    """The flushed per-step laws of blocks of 64 eigenvalues, one per row."""
-    width = min(_BLOCK, lam.size)
-    rows = max(1, -(-lam.size // _BLOCK))
-    # padding with 0.0 changes no bits: x * (1.0 - 0.0) + 0.0 * y == x;
-    # column r of block and laws is leaf r, so each step reads leading rows
-    block = np.pad(lam, (0, rows * width - lam.size)).reshape(rows, width).T.copy()
+def _leaf_laws(lams: list) -> list:
+    """The flushed per-step laws of blocks of 64 eigenvalues, one array per
+    entry of lams with one block per row, all built side by side."""
+    width = min(_BLOCK, max(lam.size for lam in lams))
+    rows = [max(1, -(-lam.size // _BLOCK)) for lam in lams]
+    # padding with 0.0 changes no bits: x * (1.0 - 0.0) + 0.0 * y == x, so a
+    # law of N < width eigenvalues is its N + 1 leading entries; column r of
+    # block and laws is leaf r, so each step reads leading rows
+    parts = [np.pad(lam, (0, r * width - lam.size)).reshape(r, width) for lam, r in zip(lams, rows)]
+    block = np.concatenate(parts).T.copy()
     stay = 1.0 - block
-    laws, carry = np.zeros((2, width + 1, rows))
-    mask = np.empty((width + 1, rows), dtype=bool)
+    laws, carry = np.zeros((2, width + 1, block.shape[1]))
+    mask = np.empty(laws.shape, dtype=bool)
     laws[0] = 1.0
     for i in range(width):
         np.multiply(laws[: i + 1], block[i], out=carry[: i + 1])
@@ -170,7 +188,9 @@ def _leaf_laws(lam: np.ndarray) -> np.ndarray:
         laws[1 : i + 2] += carry[: i + 1]
         window = laws[: i + 2]
         np.copyto(window, 0.0, where=np.less(window, _TINY, out=mask[: i + 2]))
-    return laws.T.copy()
+    leaves = laws.T.copy()
+    stops = np.cumsum(rows).tolist()
+    return [leaves[stop - r : stop, : lam.size + 1] for lam, r, stop in zip(lams, rows, stops)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,9 +456,9 @@ def bound_audit() -> tuple[dict, ...]:
                 and rep.coupling_tail <= rep.wasserstein_bound + 1e-12
             )
             rows.append(_row(f"dominance:R={radius}:beta={beta}", rep.to_dict(), ok))
-    for radius in _AUDIT_RADII:
-        lam = BergmanSpectrum.disc(radius).eigenvalues(_AUDIT_N)
-        table = chernoff_consistency(count_pmf(lam), _AUDIT_CS)
+    laws = _count_pmfs([BergmanSpectrum.disc(r).eigenvalues(_AUDIT_N) for r in _AUDIT_RADII])
+    for radius, dist in zip(_AUDIT_RADII, laws):
+        table = chernoff_consistency(dist, _AUDIT_CS)
         ok = all(r["ok"] for r in table)
         rows.append(_row(f"chernoff:R={radius}:N={_AUDIT_N}", {"rows": table}, ok))
     return tuple(rows)

@@ -39,6 +39,21 @@ def test_missing_subcommand(capsys):
     assert rc == 1
 
 
+def test_parser_is_built_once_and_kept(capsys):
+    # main() builds the parser at its first call and keeps it: a second run
+    # writes the same bytes, and --help, --version and a bad flag still exit
+    # as they do on a fresh parser
+    first = run(capsys, "verify", "--reps", "13", "--seed", "2")
+    again = run(capsys, "verify", "--reps", "13", "--seed", "2")
+    assert first == again and first[0] in (0, 2)
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0 and "verify" in out
+    assert run(capsys, "--version")[:2] == (0, "0.1.0\n")
+    rc, _, err = run(capsys, "verify", "--nope")
+    assert rc == 1 and "unrecognized arguments: --nope" in err
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # -----------------------------------------------------------------------------
 # sample
 # -----------------------------------------------------------------------------

@@ -67,6 +67,20 @@ def test_integer_rule_only_in_errors():
     assert not copies, f"integer checks outside errors.py: {copies}"
 
 
+def test_no_dataclasses_asdict_in_src():
+    # asdict deep-copies every field of a report; to_dict follows fields()
+    # instead, as SampleMeta.to_dict does
+    src = Path(bergman_dpp.__file__).parent.parent
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and any(a.name == "asdict" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "asdict")
+    ]
+    assert not found, f"dataclasses.asdict used under src/: {found}"
+
+
 def test_cli_imports_no_private_name():
     # the CLI parses, calls the library and formats; a private helper it
     # needs belongs behind a public function of its module (dunders such as

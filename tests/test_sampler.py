@@ -132,9 +132,11 @@ def test_sample_meta_fields(disc09):
 
 def test_sample_meta_from_dict_missing_fields(disc09):
     data = sample(disc09, SamplerConfig(n_eigen=9, seed=11), replica=3).meta.to_dict()
-    # a field without a default is required
-    with pytest.raises(KeyError):
-        SampleMeta.from_dict({k: v for k, v in data.items() if k != "rejections"})
+    # a field without a default is required; data that is no meta at all,
+    # a dict without the fields or no mapping, is a DomainError too
+    for bad in ({k: v for k, v in data.items() if k != "rejections"}, {}, None, []):
+        with pytest.raises(DomainError, match="not a sample meta"):
+            SampleMeta.from_dict(bad)
     # seed, replica and sampler read as None when absent
     for name in ("seed", "replica", "sampler"):
         meta = SampleMeta.from_dict({k: v for k, v in data.items() if k != name})

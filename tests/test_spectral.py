@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -122,6 +123,20 @@ def test_disc_eigenvalues_are_powers():
     assert np.array_equal(lam, 0.5 ** (2.0 * np.arange(10) + 2.0))
     assert s.eigenvalue(0) == 0.25
     assert s.eigenvalue(3) == 0.00390625
+    # a disc's lambda_n is the one power R**(2n+2), to the bit, through
+    # underflow at 0.5 and next to 1, with no floating-point warning
+    n = 300_000
+    picks = [0, 1, 2, 63, 64, 537, 1000, 54_321, n - 1]
+    for radius in (0.5, 0.9995, 1.0 - 1e-12):
+        power = np.power(radius, 2.0 * np.arange(n) + 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (BergmanSpectrum.disc(radius), BergmanSpectrum.annulus(0.0, radius)):
+                assert s._disc_radius == radius
+                assert s.eigenvalues(n).tobytes() == power.tobytes()
+                assert [s.eigenvalue(k) for k in picks] == power[picks].tolist()
+    # a region of several intervals keeps the general path, even from 0
+    assert BergmanSpectrum(make_region([(0.0, 0.3), (0.4, 0.5)]))._disc_radius is None
 
 
 _DIGEST_REGIONS = (

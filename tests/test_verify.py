@@ -212,6 +212,55 @@ def test_count_pmf_product_without_mass_raises(monkeypatch):
     monkeypatch.setattr(verify, "_TINY", 0.08)
     with pytest.raises(ArithmeticError, match="lost all its mass"):
         count_pmf([0.5] * 128 + [0.0] * 128)
+    # and so must it when another law shares its leaf recursion
+    with pytest.raises(ArithmeticError, match="lost all its mass"):
+        verify._count_pmfs([[0.5], [0.5] * 128 + [0.0] * 128])
+
+
+def _mixed_laws():
+    """Spectra of 0 to 27624 eigenvalues, around the leaf width 64, some
+    exactly 0 or 1, for one _count_pmfs call."""
+    rng = np.random.default_rng(23)
+    laws = []
+    for n in (0, 1, 22, 50, 63, 64, 65, 129):
+        lam = rng.random(n)
+        lam[::7] = 0.0
+        lam[3::11] = 1.0
+        laws.append(lam)
+    disc = BergmanSpectrum.disc(0.9995)
+    return [*laws, disc.eigenvalues(27_624), [0.0, 1.0], [1.0] * 70, disc.eigenvalues(50)]
+
+
+def test_count_pmfs_is_count_pmf_per_law():
+    # one leaf recursion for all laws, a short law padded with 0.0 to the
+    # block's width and cut back to N + 1 entries: the bits of each law alone
+    laws = _mixed_laws()
+    together = verify._count_pmfs(laws)
+    assert len(together) == len(laws)
+    for lam, dist in zip(laws, together):
+        alone = count_pmf(lam).pmf
+        assert len(dist) == len(lam) + 1
+        assert dist.pmf.tobytes() == alone.tobytes()
+    # in any order, and with laws of fewer than 64 eigenvalues only (a
+    # block 63 wide)
+    short = [lam for lam in laws if len(lam) < 64]
+    for lam, dist in zip(short[::-1], verify._count_pmfs(short[::-1])):
+        assert dist.pmf.tobytes() == count_pmf(lam).pmf.tobytes()
+
+
+def test_count_pmfs_raise_as_each_law_alone(monkeypatch):
+    # a law whose mass drifts (here past a guard of 0) raises the error it
+    # raises alone, whatever laws share its leaf recursion
+    drifting = np.random.default_rng(1).random(300)  # mass 1 + 4 ulp
+    monkeypatch.setattr(verify, "_SUM_GUARD", 0.0)
+    with pytest.raises(ArithmeticError, match="mass drifted") as alone:
+        count_pmf(drifting)
+    assert count_pmf([0.5]).pmf.tolist() == [0.5, 0.5]  # exact mass passes the guard
+    with pytest.raises(ArithmeticError) as together:
+        verify._count_pmfs([[], [0.5], drifting, [0.25, 0.5]])
+    assert str(together.value) == str(alone.value)
+    with pytest.raises(DomainError):
+        verify._count_pmfs([[0.5], [1.5]])
 
 
 def test_count_pmf_memory_at_the_certified_truncation():
