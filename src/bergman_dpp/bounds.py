@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import _INDEX_END, DomainError, _as_int, _as_real, _truncation
-from .regions import disc, region_trace
+from .regions import _logit_sq
 
 __all__ = [
     "truncation_constants",
@@ -40,7 +40,7 @@ _COINCIDENCE_MAX_FACTORS = 1 << 28
 def truncation_constants(radius: float) -> tuple[float, float]:
     """(N_R, g): expected point count R**2/(1-R**2) and decay rate R**2/(1+R)."""
     radius = _as_real(radius, "disc radius", 0, 1)
-    n_r = region_trace(disc(radius))
+    n_r = _logit_sq(radius)  # region_trace of the disc, to the bit
     g = radius * radius / (1.0 + radius)
     return n_r, g
 

@@ -13,10 +13,10 @@ to b**(2n+2) - a**(2n+2), r**(2n+2) inverted there in closed form, and a
 uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
-The table and the log-space normalizers of phi_n come from
-BergmanSpectrum._sampler_mixture: sliced from the plan of the spectrum's
-last truncation N (its checked eigenvalues and the rows of every index
-below N), or, for a direct call on another N, kept for the last active set.
+_proposals reads BergmanSpectrum._sampler_mixture's four arrays as it
+returns them (table, cumulated masses, complex indices and log-space
+normalizers of phi_n), sliced by one expression from the plan's rows of the
+last truncation N or, on another N, from the last active set's, memoized.
 
 Stream discipline: point i draws chunks of
 min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
@@ -230,15 +230,6 @@ def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveI
     return ActiveIndexSet._of_hits(_generator(rng).random(lam.size) < lam)
 
 
-def _mixture(spectrum, idx, n_eigen):
-    """spectrum._sampler_mixture(idx, n_eigen) as _proposals reads it: the
-    table, the cumulated masses, and the indices and log normalizers as
-    complex arrays, which numpy would otherwise cast on every call (the
-    casts are exact, so the products and sums keep their bits)."""
-    table, cum, log_inv = spectrum._sampler_mixture(idx, n_eigen)
-    return table, cum, idx.astype(complex), log_inv.astype(complex)
-
-
 def _rows(n: int, m: int):
     """Empty arrays for n evaluated proposals of m active indices, the rows
     _proposals fills: acceptance uniforms, log z, phi_I(z), ||phi_I(z)||**2
@@ -280,7 +271,7 @@ def sample_positions(
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = _mixture(spectrum, idx, active.n_eigen)
+        mixture = spectrum._sampler_mixture(idx, active.n_eigen)
         # point i reads only the rows of the points before it
         basis = np.empty((m, m), dtype=complex)
         conj_basis = np.empty((m, m), dtype=complex)  # conj(basis), row by row
@@ -389,7 +380,7 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     idx = np.array(active.indices, dtype=int)
     u = np.concatenate([*_replica_uniforms(seed, np.arange(replicas), PHASE_SAMPLE, 4)])
     accept, log_z, _, norm_sq, denom = rows = _rows(len(u), 1)
-    _proposals(u, *_mixture(spectrum, idx, active.n_eigen), rows)
+    _proposals(u, *spectrum._sampler_mixture(idx, active.n_eigen), rows)
     ratio = norm_sq / denom
     # a norm above twice the floor passes the floor check however vdot rounds
     certain = (ratio == 1.0) & (accept < ratio) & (norm_sq > 4.0 * GS_NORM_FLOOR**2)

@@ -76,7 +76,7 @@ class BergmanSpectrum:
         # a disc's lambda_n is one power b**(2n+2): the bits of the general
         # path, whose a**k is 0.0 there, without its expm1 branch
         self._disc_radius = self._b[0] if self._b.size == 1 and self._a[0] == 0.0 else None
-        self._memo = (None, None)  # (idx bytes, _mixture(idx)) of _sampler_mixture
+        self._memo = (None, None)  # (idx bytes, arrays) of _sampler_mixture
         self._plan = (None, None, None)  # (N, checked eigenvalues, _rows(arange(N)) or None)
 
     @classmethod
@@ -157,34 +157,35 @@ class BergmanSpectrum:
         log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
         return table, mass / row[:, None], log_inv
 
-    def _mixture(self, idx: np.ndarray):
-        """_rows(idx) as the sampler reads it: the table index-major, one row
-        per (index, interval) pair, and the pair masses cumulated."""
-        table, mass, log_inv = self._rows(idx)
-        return table.reshape(-1, 4), np.cumsum(mass), log_inv
-
     def _sampler_mixture(self, idx: np.ndarray, n_eigen: int):
-        """_mixture(idx) for active indices idx below n_eigen.
+        """What sampler._proposals reads for active indices idx below n_eigen:
+        the table of _rows(idx) index-major, one row per (index, interval)
+        pair; the pair masses cumulated; idx and the log normalizers as
+        complex arrays, exact casts that numpy would otherwise make per call.
 
-        When n_eigen is the plan's, as in every sample call, the arrays are
-        sliced from the plan's rows for every index below it, built on first
-        use.  Otherwise, as for the verify command's one-point draws on a
-        spectrum with no plan, they come through a one-entry memo keyed by
-        idx.tobytes(), shared and so read-only.  feature_matrix calls _rows
-        directly, so no table it builds outlives the call.
-        """
+        One expression slices both sources: the plan's rows of every index
+        below n_eigen, built on first use, when n_eigen is the plan's (every
+        sample call); else _rows(idx), whose arrays a one-entry memo keyed by
+        idx.tobytes() keeps, shared and so read-only (direct calls on another
+        N, verify's one-point draws).  feature_matrix calls _rows itself."""
         # one read of each memo, so a call never pairs one key with another's arrays
         n, lam, rows = self._plan
-        if n == n_eigen:
-            if rows is None:
-                rows = self._rows(np.arange(n))
-                self._plan = (n, lam, rows)
-            mass = np.add.accumulate(rows[1].take(idx, 0).ravel())
-            return rows[0].take(idx, 0).reshape(-1, 4), mass, rows[2].take(idx)
-        key = idx.tobytes()
-        memo_key, arrays = self._memo
-        if memo_key != key:
-            arrays = self._mixture(idx)
+        key, at = None, idx
+        if n != n_eigen:
+            key, (memo_key, arrays) = idx.tobytes(), self._memo
+            if memo_key == key:
+                return arrays
+            rows, at = self._rows(idx), np.arange(idx.size)
+        elif rows is None:
+            rows = self._rows(np.arange(n))
+            self._plan = (n, lam, rows)
+        arrays = (
+            rows[0].take(at, 0).reshape(-1, 4),
+            np.add.accumulate(rows[1].take(at, 0).ravel()),
+            idx.astype(complex),
+            rows[2].take(at).astype(complex),
+        )
+        if key is not None:
             for a in arrays:
                 a.flags.writeable = False
             self._memo = (key, arrays)

@@ -8,9 +8,9 @@ contiguous array, and merged pairwise by direct convolution, one tree level
 at a time, with every entry below the smallest normal double flushed to 0.0
 (no reported statistic sees a probability below 2.2e-308, and subnormal
 arithmetic is slow).  Many laws share that array: bound_audit's four
-Chernoff laws are one recursion of 50 steps, not four, and each law's tree
-then merges on its own, to the bits of the law alone.  That oracle anchors
-everything else:
+Chernoff laws are one recursion of 50 steps, not four (verify_gates adds its
+count gate's law to it), and each law's tree then merges on its own, to the
+bits of the law alone.  That oracle anchors everything else:
 chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits, and the
 dominance chain of the truncation bounds.  All gates run at a fixed
 significance and a fixed seed; a verdict is a pure comparison of statistic
@@ -447,6 +447,12 @@ def bound_audit() -> tuple[dict, ...]:
     eigenvalues is tested against both Chernoff tails at c = 0.1, ..., 0.9.
     Each row is {name, values, verdict}.
     """
+    lams = [BergmanSpectrum.disc(r).eigenvalues(_AUDIT_N) for r in _AUDIT_RADII]
+    return _audit_rows(_count_pmfs(lams))
+
+
+def _audit_rows(laws) -> tuple[dict, ...]:
+    """bound_audit's rows, the Chernoff rows read from laws: its four discs' count laws."""
     rows = []
     for radius in _AUDIT_RADII:
         for beta in _AUDIT_BETAS:
@@ -456,7 +462,6 @@ def bound_audit() -> tuple[dict, ...]:
                 and rep.coupling_tail <= rep.wasserstein_bound + 1e-12
             )
             rows.append(_row(f"dominance:R={radius}:beta={beta}", rep.to_dict(), ok))
-    laws = _count_pmfs([BergmanSpectrum.disc(r).eigenvalues(_AUDIT_N) for r in _AUDIT_RADII])
     for radius, dist in zip(_AUDIT_RADII, laws):
         table = chernoff_consistency(dist, _AUDIT_CS)
         ok = all(r["ok"] for r in table)
@@ -472,11 +477,13 @@ def verify_gates(seed: int, reps: int) -> tuple[dict, ...]:
     below 13 reps the chi-square gate would have one cell."""
     seed = _as_int(seed, "seed", 0, _SEED_END)
     reps = _as_int(reps, "reps", _GATE_REPS, _REPLICA_END)
-    rows = list(bound_audit())
-
     spectrum = BergmanSpectrum.disc(0.9)
+    # bound_audit's four laws and the count gate's N=22 law from one leaf recursion
+    lams = [BergmanSpectrum.disc(r).eigenvalues(_AUDIT_N) for r in _AUDIT_RADII]
+    *laws, dist = _count_pmfs([*lams, spectrum.eigenvalues(22)])
+    rows = list(_audit_rows(laws))
+
     stats = mc_count_stats(spectrum, SamplerConfig(n_eigen=22, seed=seed), reps)
-    dist = count_pmf(spectrum.eigenvalues(22))
     rows.append(count_gof(stats.histogram, dist, name="count-law:disc:0.9:N=22").to_dict())
 
     active = ActiveIndexSet(indices=(0,), n_eigen=1)

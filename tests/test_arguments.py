@@ -284,11 +284,12 @@ def test_count_law_domains_kept():
 
 @pytest.mark.parametrize("seed, reps", [(-1, 200), (7, 0), (7, 1.5), (7, 12), (None, 200)])
 def test_verify_gates_checks_arguments_first(seed, reps, monkeypatch):
-    # a bad seed or replica count fails before the first gate runs
-    def no_gate():
-        raise AssertionError("bound_audit ran before the arguments were checked")
+    # a bad seed or replica count fails before the first gate runs: the
+    # count laws of the audit and the count gate are its first work
+    def no_gate(*args):
+        raise AssertionError("_count_pmfs ran before the arguments were checked")
 
-    monkeypatch.setattr(verify, "bound_audit", no_gate)
+    monkeypatch.setattr(verify, "_count_pmfs", no_gate)
     with pytest.raises(DomainError):
         verify_gates(seed, reps)
 

@@ -364,15 +364,14 @@ def test_verify_fails_on_a_wrong_proposal_table(tmp_path, monkeypatch):
     # a proposal table with the radial exponent doubled draws r**(k/2), not
     # r**k, uniformly: the one-point gate must see it through its block of
     # proposals, and verify exits 2 after writing its report
-    mixture = BergmanSpectrum._mixture
+    rows = BergmanSpectrum._rows
 
     def wrong_exponent(self, idx):
-        table, cum, log_inv = mixture(self, idx)
-        table = table.copy()
-        table[:, 3] *= 2.0
-        return table, cum, log_inv
+        table, mass, log_inv = rows(self, idx)
+        table[..., 3] *= 2.0
+        return table, mass, log_inv
 
-    monkeypatch.setattr(BergmanSpectrum, "_mixture", wrong_exponent)
+    monkeypatch.setattr(BergmanSpectrum, "_rows", wrong_exponent)
     out = tmp_path / "verify.json"
     assert main(["verify", "--reps", "300", "--seed", "11", "--out", str(out)]) == 2
     verdicts = {r["name"]: r.get("verdict", "pass") for r in json.loads(out.read_text())["results"]}

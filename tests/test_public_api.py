@@ -115,6 +115,26 @@ def test_generators_rekeyed_only_in_streams():
     assert not rekeyed, f"generators re-keyed outside streams.py: {rekeyed}"
 
 
+def test_spectrum_caches_read_only_in_spectral():
+    # BergmanSpectrum._sampler_mixture is the one path from a spectrum's rows
+    # to the sampler's arrays: a module that read the plan or the memo, or
+    # built rows itself, would hold arrays that path does not slice
+    package = Path(bergman_dpp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spectral.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("_plan", "_memo"))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_rows"
+        )
+    ]
+    assert not found, f"spectrum caches or rows used outside spectral.py: {found}"
+
+
 def test_package_does_not_import_scipy_stats():
     # the gates need only scipy.special; scipy.stats alone roughly doubled
     # the import time and resident memory.  A fresh interpreter sees indirect

@@ -23,6 +23,8 @@ from bergman_dpp import (
     SamplerConfig,
     bernoulli_phase,
     construct_family,
+    count_gof,
+    count_pmf,
     default_truncation,
     intensity_profile_test,
     make_rng,
@@ -128,6 +130,12 @@ def test_sample_meta_fields(disc09):
     if m.proposals:
         assert 0.0 < m.acceptance_rate <= 1.0
     assert SampleMeta.from_dict(m.to_dict()) == m
+
+
+def test_sample_meta_acceptance_rate_without_proposals(disc09):
+    # an empty active set draws no proposal, so there is no rate to report
+    conf = sample_positions(disc09, ActiveIndexSet(indices=(), n_eigen=5), make_rng(0))
+    assert conf.meta.proposals == 0 and conf.meta.acceptance_rate is None
 
 
 def test_sample_meta_from_dict_missing_fields(disc09):
@@ -448,13 +456,13 @@ def test_massless_proposal_is_rejected(disc09):
 
 def _patched_normalizers(monkeypatch, log_inv):
     """Make every phi_n carry the normalizer exp(log_inv) instead of its own."""
-    mixture = BergmanSpectrum._mixture
+    rows = BergmanSpectrum._rows
 
     def patched(self, idx):
-        table, cum, _ = mixture(self, idx)
-        return table, cum, np.full(len(idx), log_inv)
+        table, mass, _ = rows(self, idx)
+        return table, mass, np.full(len(idx), log_inv)
 
-    monkeypatch.setattr(BergmanSpectrum, "_mixture", patched)
+    monkeypatch.setattr(BergmanSpectrum, "_rows", patched)
 
 
 @pytest.mark.parametrize("log_inv", [math.inf, math.nan])
@@ -813,6 +821,35 @@ def test_multi_point_law(literal, indices):
     threshold = ks_critical_value(reps, 1e-3)
     assert ks_statistic(minima, kostlan_min) < threshold
     assert ks_statistic(maxima, kostlan_max) < threshold
+
+
+@pytest.mark.parametrize(
+    "literal, n_eigen, centre, rho",
+    [("disc:0.9", 80, 0.3125, 0.4375), ("annulus:0.5:0.9", 73, 0.70, 0.18)],
+)
+def test_moebius_count_law(literal, n_eigen, centre, rho):
+    # The Bergman process is invariant under the disc's automorphisms, and
+    # the disc D(c, rho) inside the region is the pseudo-hyperbolic disc of
+    # radius R_H around some point: its count has the law of the count in
+    # D(0, R_H), the Poisson-binomial of R_H**(2n+2).  With s = (q - p) /
+    # (1 - p q), the pseudo-hyperbolic distance across the diameter [p, q],
+    # R_H = (1 - sqrt(1 - s**2)) / s.  Off the centre this reads the joint
+    # law (angles and projections), which the radial gates do not.  N keeps
+    # the sampler's truncation tail below 1e-6, the law's tail is below 1e-15.
+    spectrum = BergmanSpectrum(parse_region_literal(literal))
+    p, q = centre - rho, centre + rho
+    s = (q - p) / (1.0 - p * q)
+    r_h = (1.0 - math.sqrt(1.0 - s * s)) / s
+    m = 1
+    while r_h ** (2 * m + 2) / (1.0 - r_h * r_h) >= 1e-15:
+        m += 1
+    law = count_pmf(r_h ** (2.0 * np.arange(m) + 2.0))
+    config = SamplerConfig(n_eigen=n_eigen, seed=2026)
+    counts = [
+        sum(abs(z - centre) < rho for z in sample(spectrum, config, r).points) for r in range(5000)
+    ]
+    report = count_gof(np.bincount(counts), law)
+    assert report.passed, report
 
 
 # -----------------------------------------------------------------------------

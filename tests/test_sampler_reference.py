@@ -78,7 +78,9 @@ def reference_sample_positions(
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = spectrum._sampler_mixture(idx, active.n_eigen)
+        # the float normalizers the reference added; their complex casts are exact
+        table, cum, _, log_inv = spectrum._sampler_mixture(idx, active.n_eigen)
+        mixture = table, cum, log_inv.real
         basis = np.zeros((m, m), dtype=complex)
         conj_basis = np.zeros((m, m), dtype=complex)  # conj(basis), row by row
         # every point draws at least its first chunk, so the first chunks

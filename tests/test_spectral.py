@@ -315,7 +315,7 @@ def test_feature_matrix_at_origin(disc08):
 
 def test_feature_matrix_is_sampler_expression():
     # the sampler evaluates exp(n log z + log(1/sqrt(nu_n))) with the
-    # normalizers of _mixture; feature_matrix must be that same expression
+    # normalizers of _sampler_mixture; feature_matrix must be that same expression
     rng = np.random.default_rng(5)
     for literal in ("disc:0.5", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"):
         s = BergmanSpectrum(parse_region_literal(literal))
@@ -324,8 +324,8 @@ def test_feature_matrix_is_sampler_expression():
         iv = np.array(s.region.intervals)[rng.integers(len(s.region.intervals), size=7)]
         r = np.sqrt(iv[:, 0] ** 2 + rng.random(7) * (iv[:, 1] ** 2 - iv[:, 0] ** 2))
         zs = r * np.exp(2j * math.pi * rng.random(7))
-        log_inv = s._mixture(idx)[2]
-        expected = np.exp(np.multiply.outer(np.log(zs), idx) + log_inv)
+        _, _, idx_c, log_inv = s._sampler_mixture(idx, 1001)
+        expected = np.exp(np.multiply.outer(np.log(zs), idx_c) + log_inv)
         assert np.array_equal(s.feature_matrix(idx, zs), expected)
 
 
@@ -348,14 +348,27 @@ def test_feature_matrix_index_arrays_checked_whole(disc08):
             disc08.feature_matrix(bad, 0.5)
 
 
+def _mixture(s, idx):
+    """What _sampler_mixture(idx, n) must return, written apart from it: the
+    table of _rows(idx) index-major, the masses cumulated, and idx and the
+    log normalizers as complex arrays."""
+    table, mass, log_inv = s._rows(idx)
+    return table.reshape(-1, 4), np.cumsum(mass), idx.astype(complex), log_inv.astype(complex)
+
+
+def _assert_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_sampler_mixture_memo(disc09):
     # with no plan for n_eigen: one entry, keyed by the index bytes,
     # read-only; feature_matrix calls _rows itself and leaves the entry alone
     memo = disc09._sampler_mixture(np.arange(3), 5)
     assert disc09._sampler_mixture(np.arange(3), 5) is memo
     assert not any(a.flags.writeable for a in memo)
-    for got, want in zip(memo, disc09._mixture(np.arange(3))):
-        assert np.array_equal(got, want)
+    _assert_bits(memo, _mixture(disc09, np.arange(3)))
     disc09.feature_matrix(np.arange(500), 0.5)
     assert disc09._sampler_mixture(np.arange(3), 5) is memo
     other = disc09._sampler_mixture(np.array([0, 2]), 5)
@@ -364,7 +377,7 @@ def test_sampler_mixture_memo(disc09):
 
 def test_plan_rows_slice_to_mixture(midpoint_family):
     # sample slices each active set's table out of the plan's rows for every
-    # index below N; the slice must be the bytes _mixture builds for that set
+    # index below N; the slice must be the bytes _rows builds for that set
     regions = [
         parse_region_literal(lit)
         for lit in ("disc:0.9", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95")
@@ -382,8 +395,7 @@ def test_plan_rows_slice_to_mixture(midpoint_family):
         subsets = [np.arange(n), np.array([0]), np.array([n - 1])]
         subsets += [np.flatnonzero(rng.random(n) < p) for p in rng.random(20)]
         for idx in subsets:
-            for got, want in zip(s._sampler_mixture(idx, n), s._mixture(idx)):
-                assert np.array_equal(got, want)
+            _assert_bits(s._sampler_mixture(idx, n), _mixture(s, idx))
         assert s._memo == (None, None)  # every table came from the plan
 
 
@@ -472,3 +484,4 @@ def test_spectrum_needs_region():
 
 def test_spectrum_repr(disc08):
     assert "disc" in repr(disc08)
+    assert repr(GinibreSpectrum(1.5)) == "GinibreSpectrum(1.5)"

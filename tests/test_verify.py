@@ -490,6 +490,19 @@ def test_ks_statistic_scalar_cdf_fallback():
     assert ks_statistic(xs, branching) == pytest.approx(vec, abs=1e-15)
 
 
+def test_ks_statistic_wrong_shape_cdf_fallback():
+    # a cdf that reduces an array to one value returns the wrong shape
+    # without raising; the statistic falls back to one call per sample and
+    # is then the vectorized call's, to the bit
+    xs = [0.2, 0.6, 0.35, 0.9]
+
+    def reducing(x):
+        return np.square(x).sum()
+
+    assert np.shape(reducing(np.array(xs))) == ()
+    assert ks_statistic(xs, reducing) == ks_statistic(xs, np.square)
+
+
 def test_ks_statistic_validation():
     with pytest.raises(DomainError):
         ks_statistic([], lambda x: x)
