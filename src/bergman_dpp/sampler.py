@@ -57,7 +57,7 @@ from .errors import (
     _of_type,
     _truncation,
 )
-from .spectral import BergmanSpectrum, GinibreSpectrum
+from .spectral import BergmanSpectrum, _eigenvalues, _spectrum_method
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms, make_rng
 
 __all__ = [
@@ -205,23 +205,8 @@ class PointConfiguration:
 
 
 def default_truncation(spectrum, beta: float) -> int:
-    """ceil(beta * trace), at least 1; needs a closed-form-trace spectrum."""
-    spectrum = _of_type(spectrum, (BergmanSpectrum, GinibreSpectrum), "spectrum")
-    return _truncation(beta, spectrum.trace())
-
-
-def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
-    """The first n_eigen eigenvalues, checked to be finite and in [0, 1]: kept
-    in a BergmanSpectrum's plan, evaluated and checked per call otherwise."""
-    n_eigen = _as_int(n_eigen, "n_eigen", 1)
-    if type(spectrum) is BergmanSpectrum:
-        return spectrum._plan_eigenvalues(n_eigen)
-    if not callable(getattr(spectrum, "eigenvalues", None)):
-        raise DomainError(f"a spectrum needs an eigenvalues(n) method, {spectrum!r} has none")
-    lam = _as_reals(spectrum.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
-    if lam.shape != (n_eigen,):
-        raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
-    return lam
+    """ceil(beta * trace), at least 1; needs a spectrum with a trace() method."""
+    return _truncation(beta, _as_real(_spectrum_method(spectrum, "trace")(), "trace", 0, ends="[)"))
 
 
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:

@@ -77,7 +77,7 @@ class BergmanSpectrum:
         # path, whose a**k is 0.0 there, without its expm1 branch
         self._disc_radius = self._b[0] if self._b.size == 1 and self._a[0] == 0.0 else None
         self._memo = (None, None)  # (idx bytes, arrays) of _sampler_mixture
-        self._plan = (None, None, None)  # (N, checked eigenvalues, _rows(arange(N)) or None)
+        self._plan = (None, None, None)  # (N, _eigenvalues(self, N), _rows(arange(N)) or None)
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -112,17 +112,6 @@ class BergmanSpectrum:
             rel = np.where(bp > 0.0, -np.expm1(e * log_ratio) * safe, 0.0)
         terms = np.where(ap > 0.5 * bp, rel, bp - ap)
         return terms.sum(axis=1)
-
-    def _plan_eigenvalues(self, n_eigen: int) -> np.ndarray:
-        """eigenvalues(n_eigen), checked to be finite and in [0, 1], read-only,
-        kept as the plan for n_eigen until another n_eigen replaces it; a
-        failed check keeps nothing."""
-        n, lam, _ = self._plan  # one read, as in _sampler_mixture
-        if n != n_eigen:
-            lam = _as_reals(self.eigenvalues(n_eigen), "eigenvalues", 0, 1, ends="[]")
-            lam.flags.writeable = False
-            self._plan = (n_eigen, lam, None)
-        return lam
 
     def eigenvalue(self, n: int) -> float:
         return float(self._lambda(np.array([_as_int(n, "eigenvalue index", 0, _INDEX_END)]))[0])
@@ -164,10 +153,11 @@ class BergmanSpectrum:
         complex arrays, exact casts that numpy would otherwise make per call.
 
         One expression slices both sources: the plan's rows of every index
-        below n_eigen, built on first use, when n_eigen is the plan's (every
-        sample call); else _rows(idx), whose arrays a one-entry memo keyed by
-        idx.tobytes() keeps, shared and so read-only (direct calls on another
-        N, verify's one-point draws).  feature_matrix calls _rows itself."""
+        below n_eigen, built on first use beside the eigenvalues _eigenvalues
+        keeps there, when n_eigen is the plan's (every sample call); else
+        _rows(idx), whose arrays a one-entry memo keyed by idx.tobytes()
+        keeps, shared and so read-only (direct calls on another N, verify's
+        one-point draws).  feature_matrix calls _rows itself."""
         # one read of each memo, so a call never pairs one key with another's arrays
         n, lam, rows = self._plan
         key, at = None, idx
@@ -225,6 +215,36 @@ class BergmanSpectrum:
         n_eigen = _as_int(n_eigen, "n_eigen", 1, _ENTRIES_END // self._b.size)
         fx, fy = self.feature_matrix(np.arange(n_eigen), [_as_point(x), _as_point(y)])
         return complex(np.sum(self.eigenvalues(n_eigen) * fx * fy.conjugate()))
+
+
+def _spectrum_method(spectrum, name: str):
+    """spectrum's method name, else DomainError.  The one spectrum rule: a
+    spectrum is anything with an eigenvalues(n) method, and a trace() method
+    where N comes from beta (positions are drawn on a BergmanSpectrum only)."""
+    method = getattr(spectrum, name, None)
+    if not callable(method):
+        raise DomainError(f"spectrum {spectrum!r} has no {name}() method")
+    return method
+
+
+def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
+    """The first n_eigen eigenvalues of any spectrum, checked to be finite, in
+    [0, 1] and n_eigen of them.  A BergmanSpectrum (not a subclass) keeps them,
+    read-only, as its plan for n_eigen until another n_eigen replaces it; a
+    failed check keeps nothing."""
+    n_eigen = _as_int(n_eigen, "n_eigen", 1)
+    exact = type(spectrum) is BergmanSpectrum
+    if exact:
+        n, lam, _ = spectrum._plan  # one read, as in _sampler_mixture
+        if n == n_eigen:
+            return lam
+    lam = _as_reals(_spectrum_method(spectrum, "eigenvalues")(n_eigen), "eigenvalues", 0, 1, ends="[]")
+    if lam.shape != (n_eigen,):
+        raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
+    if exact:
+        lam.flags.writeable = False
+        spectrum._plan = (n_eigen, lam, None)
+    return lam
 
 
 class GinibreSpectrum:

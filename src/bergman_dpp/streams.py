@@ -42,9 +42,9 @@ _MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[[[0, 
 _MULS = np.stack((_MUL, _MUL >> _32, _MUL & _LO))[..., None, None]
 _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # rows of up to _VECTOR_ROW uniforms are vectorized (the widest row at which
-# they beat the re-keyed loop in every timed run; at 48 the two tie), about
-# _PASS_BLOCKS Philox blocks in one pass
-_VECTOR_ROW, _PASS_BLOCKS = 40, 1 << 12
+# they beat the re-keyed loop in every interleaved timing pair, 5000
+# replicas; at 72 the loop won some), about _PASS_BLOCKS Philox blocks a pass
+_VECTOR_ROW, _PASS_BLOCKS = 64, 1 << 12
 
 
 def make_rng(seed: int, replica: int = 0, phase: int = PHASE_SAMPLE) -> np.random.Generator:

@@ -30,8 +30,8 @@ from .bounds import build_bound_report, chernoff_lower, chernoff_upper
 from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_pair, _as_real, _as_reals
 from .errors import _elements, _items, _of_type
 from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
-from .sampler import _eigenvalues, _moduli, _single_index_points
-from .spectral import BergmanSpectrum
+from .sampler import _moduli, _single_index_points
+from .spectral import BergmanSpectrum, _eigenvalues
 from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
 from .streams import _REPLICA_END, _SEED_END, _replica_uniforms
 

@@ -336,11 +336,33 @@ def test_wrong_kind_raises_named_error(call, error):
 
 
 def test_duck_typed_spectra_kept():
-    # a spectrum is anything with an eigenvalues(n) method
+    # a spectrum is anything with an eigenvalues(n) method, and a trace()
+    # method where N comes from beta
     class Halves:
         def eigenvalues(self, n):
             return np.full(n, 0.5)
 
-    for spectrum in (GIN, Halves()):
+    class TracedHalves(Halves):
+        def trace(self):
+            return 2.5
+
+    for spectrum in (GIN, Halves(), TracedHalves()):
         assert bernoulli_phase(spectrum, 5, make_rng(0)).n_eigen == 5
         assert mc_count_stats(spectrum, SamplerConfig(n_eigen=5), 10).reps == 10
+    # beta 2 on trace 2.5 truncates at 5, as n_eigen=5 does
+    traced = TracedHalves()
+    assert default_truncation(traced, 2.0) == 5
+    assert SamplerConfig(beta=2.0).resolve_truncation(traced) == 5
+    want = mc_count_stats(traced, SamplerConfig(n_eigen=5), 10).histogram
+    assert np.array_equal(mc_count_stats(traced, SamplerConfig(beta=2.0), 10).histogram, want)
+    for call in (
+        lambda: default_truncation(Halves(), 2.0),
+        lambda: SamplerConfig(beta=2.0).resolve_truncation(Halves()),
+        lambda: mc_count_stats(Halves(), SamplerConfig(beta=2.0), 10),
+    ):
+        with pytest.raises(DomainError, match=r"has no trace\(\) method"):
+            call()
+    # a trace is checked as a real, as beta is
+    traced.trace = lambda: "2.5"
+    with pytest.raises(DomainError, match="trace must lie in"):
+        default_truncation(traced, 2.0)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,17 +15,6 @@ from bergman_dpp import BergmanSpectrum, GinibreSpectrum, count_gof, count_pmf
 MODULES = ("bounds", "errors", "regions", "sampler", "spectral", "streams", "verify")
 
 
-def _init_imports():
-    """(module, name) for every name bergman_dpp/__init__.py imports."""
-    tree = ast.parse(Path(bergman_dpp.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-
-
 @pytest.mark.parametrize("short", MODULES)
 def test_all_names_resolve(short):
     mod = importlib.import_module(f"bergman_dpp.{short}")
@@ -32,13 +22,20 @@ def test_all_names_resolve(short):
         assert hasattr(mod, name), f"{short}.__all__ names missing {name}"
 
 
-def test_package_imports_are_exported():
-    pairs = _init_imports()
-    assert pairs
-    for short, name in pairs:
+def test_package_republishes_every_all():
+    # each module's __all__ is the one list of its public names, and the
+    # package star-imports them all: a name in two lists would shadow the
+    # earlier module's object silently
+    owners = {}
+    for short in MODULES:
         mod = importlib.import_module(f"bergman_dpp.{short}")
-        assert name in mod.__all__, f"{short}.{name} is imported by the package but not exported"
-        assert getattr(bergman_dpp, name) is getattr(mod, name)
+        for name in mod.__all__:
+            assert name not in owners, f"{name} is in {owners.get(name)}.__all__ and {short}.__all__"
+            owners[name] = short
+            assert getattr(bergman_dpp, name) is getattr(mod, name), f"{short}.{name}"
+    submodules = {m.name for m in pkgutil.iter_modules(bergman_dpp.__path__)}
+    public = {name for name in vars(bergman_dpp) if not name.startswith("_")}
+    assert public - submodules == set(owners)
 
 
 def test_spectrum_methods_defined_on_class():
@@ -116,9 +113,10 @@ def test_generators_rekeyed_only_in_streams():
 
 
 def test_spectrum_caches_read_only_in_spectral():
-    # BergmanSpectrum._sampler_mixture is the one path from a spectrum's rows
-    # to the sampler's arrays: a module that read the plan or the memo, or
-    # built rows itself, would hold arrays that path does not slice
+    # spectral._eigenvalues is the one checked path to a spectrum's
+    # eigenvalues, and BergmanSpectrum._sampler_mixture the one path from its
+    # rows to the sampler's arrays: a module that read the plan or the memo,
+    # or built rows itself, would hold arrays those paths did not check or slice
     package = Path(bergman_dpp.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
@@ -133,6 +131,21 @@ def test_spectrum_caches_read_only_in_spectral():
         )
     ]
     assert not found, f"spectrum caches or rows used outside spectral.py: {found}"
+
+
+def test_ginibre_named_only_in_spectral_and_cli():
+    # a spectrum is anything with eigenvalues(n) (and trace() under beta), a
+    # rule spectral.py states once; a module that imported GinibreSpectrum
+    # could bring back a class-tuple check that turns duck spectra away
+    package = Path(bergman_dpp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("spectral.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "GinibreSpectrum" for a in node.names)
+    ]
+    assert not found, f"GinibreSpectrum imported outside spectral.py and cli.py: {found}"
 
 
 def test_package_does_not_import_scipy_stats():

@@ -35,7 +35,7 @@ from bergman_dpp import (
     sample_moduli,
     sample_positions,
 )
-from bergman_dpp import sampler
+from bergman_dpp import sampler, spectral
 from bergman_dpp.sampler import SAMPLER_VERSION
 from bergman_dpp import streams
 from bergman_dpp.streams import PHASE_BERNOULLI, PHASE_MODULI, PHASE_SAMPLE, _replica_uniforms
@@ -252,7 +252,7 @@ def test_plan_reused_across_replicas(monkeypatch):
     assert lam.flags.writeable and lam is not spectrum.eigenvalues(22)
     lam[:] = 1.0
     with pytest.raises(ValueError):
-        sampler._eigenvalues(spectrum, 22)[:] = 1.0
+        spectral._eigenvalues(spectrum, 22)[:] = 1.0
     assert [sample(spectrum, config, r).to_dict() for r in range(20)] == [
         c.to_dict() for c in confs
     ]
@@ -825,7 +825,11 @@ def test_multi_point_law(literal, indices):
 
 @pytest.mark.parametrize(
     "literal, n_eigen, centre, rho",
-    [("disc:0.9", 80, 0.3125, 0.4375), ("annulus:0.5:0.9", 73, 0.70, 0.18)],
+    [
+        ("disc:0.9", 80, 0.3125, 0.4375),
+        ("annulus:0.5:0.9", 73, 0.70, 0.18),
+        ("intervals:0.1-0.3,0.5-0.7,0.85-0.95", 157, 0.9, 0.0499),
+    ],
 )
 def test_moebius_count_law(literal, n_eigen, centre, rho):
     # The Bergman process is invariant under the disc's automorphisms, and
