@@ -908,7 +908,7 @@ def test_replica_uniforms_match_make_rng(seed, phase):
         assert np.array_equal(got, _make_rng_bits(seed, replicas, phase, n))
 
 
-@pytest.mark.parametrize("n", [4, streams._VECTOR_ROW, streams._VECTOR_ROW + 1])
+@pytest.mark.parametrize("n", [4, 40, 41, streams._VECTOR_ROW, streams._VECTOR_ROW + 1])
 def test_replica_uniforms_span_passes(n):
     # more replicas than one pass holds: several blocks, in replica order,
     # from the vectorized rounds and, past _VECTOR_ROW, the re-keyed generator
