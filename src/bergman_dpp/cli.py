@@ -34,14 +34,6 @@ from .verify import verify_gates
 _DELTAS = (0.1, 0.01, 0.001)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad arguments; map that to the validation code 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _g17(v: float) -> str:
     return f"{float(v):.17g}"
 
@@ -181,14 +173,14 @@ def _cmd_verify(args) -> int:
 
 
 @cache  # one parser per process, built at the first main() call, not at import
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     # the flags several commands share, each declared once
     out, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     out.add_argument("--out", default=None, help="output file (default: stdout, also for -)")
     seed.add_argument("--seed", type=int, default=0)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = _Parser(prog="bergman-dpp", description=__doc__)
+    p = argparse.ArgumentParser(prog="bergman-dpp", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -232,8 +224,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # --help and --version exit with 0, _Parser.error with 1
-        return exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    except SystemExit as exc:
+        # argparse exits with 0 (--help, --version) or, after printing the
+        # usage and the error, with 2; a usage error is the validation code 1
+        return 1 if exc.code else 0
     except (BergmanDPPError, OSError) as exc:  # OSError: an --out file that cannot be written
         print(f"bergman-dpp: error: {exc}", file=sys.stderr)
         return 1

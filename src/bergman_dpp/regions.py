@@ -375,7 +375,7 @@ def check_properties(
     if isinstance(obj, FamilyBuild):
         import mpmath as mp
         spec, endpoints = obj.spec, obj.endpoints
-        threshold = mp.mpf(1) - mp.mpf(delta)
+        threshold = mp.fsub(1, delta, exact=True)  # at 53 bits 1 - 1e-17 rounds to 1
         measure = float(mp.pi * mp.fsum((b - a) * (b + a) for a, b in endpoints))
         gap0 = 1.0 - spec.b0
         predicted = 0

@@ -77,7 +77,7 @@ class BergmanSpectrum:
         # path, whose a**k is 0.0 there, without its expm1 branch
         self._disc_radius = self._b[0] if self._b.size == 1 and self._a[0] == 0.0 else None
         self._memo = (None, None)  # (idx bytes, arrays) of _sampler_mixture
-        self._plan = (None, None, None)  # (N, _eigenvalues(self, N), _rows(arange(N)) or None)
+        self._plan = (None, None, None)  # (N, lambda_0..N-1, _rows(arange(N))), all by _eigenvalues
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -153,22 +153,18 @@ class BergmanSpectrum:
         complex arrays, exact casts that numpy would otherwise make per call.
 
         One expression slices both sources: the plan's rows of every index
-        below n_eigen, built on first use beside the eigenvalues _eigenvalues
-        keeps there, when n_eigen is the plan's (every sample call); else
-        _rows(idx), whose arrays a one-entry memo keyed by idx.tobytes()
-        keeps, shared and so read-only (direct calls on another N, verify's
-        one-point draws).  feature_matrix calls _rows itself."""
+        below n_eigen, which _eigenvalues builds and this method only reads,
+        when n_eigen is the plan's (every sample call); else _rows(idx), whose
+        arrays a one-entry memo keyed by idx.tobytes() keeps, shared and so
+        read-only (direct calls on another N, verify's one-point draws)."""
         # one read of each memo, so a call never pairs one key with another's arrays
-        n, lam, rows = self._plan
+        n, _, rows = self._plan
         key, at = None, idx
         if n != n_eigen:
             key, (memo_key, arrays) = idx.tobytes(), self._memo
             if memo_key == key:
                 return arrays
             rows, at = self._rows(idx), np.arange(idx.size)
-        elif rows is None:
-            rows = self._rows(np.arange(n))
-            self._plan = (n, lam, rows)
         arrays = (
             rows[0].take(at, 0).reshape(-1, 4),
             np.add.accumulate(rows[1].take(at, 0).ravel()),
@@ -229,9 +225,10 @@ def _spectrum_method(spectrum, name: str):
 
 def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
     """The first n_eigen eigenvalues of any spectrum, checked to be finite, in
-    [0, 1] and n_eigen of them.  A BergmanSpectrum (not a subclass) keeps them,
-    read-only, as its plan for n_eigen until another n_eigen replaces it; a
-    failed check keeps nothing."""
+    [0, 1] and n_eigen of them.  A BergmanSpectrum (not a subclass) keeps
+    them, read-only, with the _rows of every index below n_eigen, as its
+    whole plan for n_eigen until another n_eigen replaces it; a failed check
+    keeps nothing.  This is the plan's one writer."""
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
     exact = type(spectrum) is BergmanSpectrum
     if exact:
@@ -243,7 +240,7 @@ def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
         raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
     if exact:
         lam.flags.writeable = False
-        spectrum._plan = (n_eigen, lam, None)
+        spectrum._plan = (n_eigen, lam, spectrum._rows(np.arange(n_eigen)))
     return lam
 
 

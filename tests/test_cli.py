@@ -54,6 +54,50 @@ def test_parser_is_built_once_and_kept(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+_TOP_USAGE = (
+    "usage: bergman-dpp [-h] [--version]\n"
+    "                   {sample,spectrum,bounds,region,moduli,verify} ...\n"
+)
+# argparse's usage line and error line on stderr, nothing on stdout, exit 1;
+# the usage wraps at COLUMNS - 2, so the test fixes COLUMNS at 80
+USAGE_ERRORS = [
+    (
+        ["sample", "--region", "disc:0.5", "--nope"],
+        _TOP_USAGE + "bergman-dpp: error: unrecognized arguments: --nope\n",
+    ),
+    (
+        ["sample"],
+        "usage: bergman-dpp sample [-h] [--seed SEED] [--format {csv,json}] [--out OUT]\n"
+        "                          --region REGION [--beta BETA] [--n-eigen N_EIGEN]\n"
+        "                          [--replica REPLICA]\n"
+        "bergman-dpp sample: error: the following arguments are required: --region\n",
+    ),
+    (
+        ["bogus"],
+        _TOP_USAGE + "bergman-dpp: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'sample', 'spectrum', 'bounds', 'region', 'moduli', 'verify')\n",
+    ),
+    (
+        ["spectrum", "--region", "disc:0.5", "--ginibre", "1.0", "--n-eigen", "3"],
+        "usage: bergman-dpp spectrum [-h] [--format {csv,json}] [--out OUT]\n"
+        "                            (--region REGION | --ginibre GINIBRE) --n-eigen\n"
+        "                            N_EIGEN\n"
+        "bergman-dpp spectrum: error: argument --ginibre: not allowed with argument --region\n",
+    ),
+    (
+        ["verify", "--reps", "x"],
+        "usage: bergman-dpp verify [-h] [--seed SEED] [--out OUT] [--reps REPS]\n"
+        "bergman-dpp verify: error: argument --reps: invalid int value: 'x'\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exact(argv, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (1, "", err)
+
+
 # -----------------------------------------------------------------------------
 # sample
 # -----------------------------------------------------------------------------
@@ -279,6 +323,17 @@ def test_region_family(capsys):
     assert props["values"]["witness_found"] is True
     ft = next(r for r in data["results"] if r["name"] == "finite-trace")
     assert ft["values"]["finite"] is True
+
+
+def test_region_family_witness_below_double_epsilon(capsys):
+    # 1 - 1e-20 is 1.0 in a double; the witness is found against the exact threshold
+    rc, out, _ = run(
+        capsys, "region", "--spec", "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=120", "--delta", "1e-20"
+    )
+    assert rc == 0
+    props = next(r for r in json.loads(out)["results"] if r["name"] == "properties:delta=1e-20")
+    assert props["values"]["witness_found"] is True
+    assert props["values"]["witness_index"] == props["values"]["predicted_witness_index"] == 66
 
 
 def test_region_family_built_once(capsys, monkeypatch):

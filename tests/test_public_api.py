@@ -133,6 +133,22 @@ def test_spectrum_caches_read_only_in_spectral():
     assert not found, f"spectrum caches or rows used outside spectral.py: {found}"
 
 
+def test_plan_has_one_writer():
+    # _eigenvalues builds the plan whole after its check; every other
+    # method of spectral.py only reads it
+    tree = ast.parse((Path(bergman_dpp.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    writers = sorted(
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr == "_plan"
+    )
+    assert writers == ["__init__", "_eigenvalues"]
+
+
 def test_ginibre_named_only_in_spectral_and_cli():
     # a spectrum is anything with eigenvalues(n) (and trace() under beta), a
     # rule spectral.py states once; a module that imported GinibreSpectrum

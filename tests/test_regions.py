@@ -236,6 +236,16 @@ def test_check_properties_witness_beyond_float64(midpoint_family):
     assert rep.witness_index <= rep.predicted_witness_index
 
 
+@pytest.mark.parametrize("delta, index", [(1e-17, 56), (1e-20, 66), (1e-30, 100)])
+def test_check_properties_witness_below_double_epsilon(delta, index):
+    # 1 - delta rounds to 1.0 at 53 bits for delta below about 1.1e-16; the
+    # threshold is taken exactly, so the endpoints that reach it still count
+    spec = FamilySpec(0.2, 0.3, GeometricWeights(0.1, 0.5), 120)
+    rep = check_properties(spec, delta)
+    assert rep.witness_found
+    assert rep.witness_index == rep.predicted_witness_index == index
+
+
 def test_check_properties_region():
     rep = check_properties(disc(0.95), 0.1)
     assert rep.witness_found and rep.witness_index == 0

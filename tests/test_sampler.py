@@ -273,6 +273,34 @@ def test_plan_not_stored_for_unchecked_spectra(monkeypatch):
     assert calls == [5, 5, 5] and spectrum._plan == (None, None, None)
 
 
+class CountingSpectrum(BergmanSpectrum):
+    """A subclass, whose methods sample treats as user code: it keeps no
+    plan and draws from make_rng rather than the thread's kept generator."""
+
+    def __init__(self, region):
+        super().__init__(region)
+        self.calls = 0
+
+    def eigenvalues(self, n_eigen):
+        self.calls += 1
+        return super().eigenvalues(n_eigen)
+
+
+@pytest.mark.parametrize("literal", ["disc:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"])
+def test_subclass_samples_like_the_base_class(literal):
+    region = parse_region_literal(literal)
+    sub, base = CountingSpectrum(region), BergmanSpectrum(region)
+    config = SamplerConfig(beta=5.0, seed=7)
+    got = [sample(sub, config, r).to_dict() for r in range(30)]
+    assert got == [sample(base, config, r).to_dict() for r in range(30)]
+    assert any(conf["points"] for conf in got)
+    # no plan: the eigenvalues are evaluated and checked on every call
+    assert sub._plan == (None, None, None) and sub.calls == 30
+    for _ in range(3):
+        spectral._eigenvalues(sub, 22)
+    assert sub._plan == (None, None, None) and sub.calls == 33
+
+
 def test_plan_shared_across_threads():
     # threads sampling one spectrum at two truncations replace each other's
     # plan; every configuration must still be the one a fresh spectrum gives

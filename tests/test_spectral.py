@@ -387,10 +387,8 @@ def test_plan_rows_slice_to_mixture(midpoint_family):
     for region in regions:
         s = BergmanSpectrum(region)
         n = default_truncation(s, 5.0)
-        replica = 0
-        while s._plan[2] is None and replica < 1000:  # until a configuration has a point
-            sample(s, SamplerConfig(beta=5.0, seed=1), replica)
-            replica += 1
+        # the plan is built whole by the first call, with or without points
+        sample(s, SamplerConfig(beta=5.0, seed=1), 0)
         assert s._plan[0] == n and s._plan[2] is not None
         subsets = [np.arange(n), np.array([0]), np.array([n - 1])]
         subsets += [np.flatnonzero(rng.random(n) < p) for p in rng.random(20)]
