@@ -1,15 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on validation errors, 2 when a verification
-gate fails.  Reports are JSON objects {version, config, results}; point
-and table output can also be CSV with 17 significant digits.  `verify`
-writes the rows of verify.verify_gates; this module imports no private name.
+Exit codes: 0 on success, 1 on validation errors and, silently, on a stdout
+closed early (`| head -1`), 2 when a verification gate fails.  Reports are
+JSON objects {version, config, results}; point and table output can also be
+CSV with 17 significant digits.  `verify` writes the rows of
+verify.verify_gates; this module imports no private name.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain
@@ -53,7 +55,7 @@ def _write(args, config: dict, results: list, lines=None) -> None:
         report = {"version": __version__, "config": config, "results": results}
         text = json.dumps(report, indent=2, default=_plain)
     if args.out in (None, "-"):
-        print(text)
+        print(text, flush=True)  # a closed pipe fails here, inside main, not at exit
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             print(text, file=fh)
@@ -228,6 +230,9 @@ def main(argv=None) -> int:
         # argparse exits with 0 (--help, --version) or, after printing the
         # usage and the error, with 2; a usage error is the validation code 1
         return 1 if exc.code else 0
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BergmanDPPError, OSError) as exc:  # OSError: an --out file that cannot be written
         print(f"bergman-dpp: error: {exc}", file=sys.stderr)
         return 1

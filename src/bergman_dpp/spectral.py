@@ -8,11 +8,13 @@ normalized monomials phi_n(x) = x**n / sqrt(nu_n) with
     lambda_n = sum_j (b_j**(2n+2) - a_j**(2n+2)),
 
 so the whole spectrum is available exactly, which is what makes exact
-simulation of the restricted determinantal process possible.  The Ginibre
-kernel restricted to a centered disc of radius R has eigenvalues
-P(n+1, R**2) = gamma(n+1, R**2) / n!, the lower regularized incomplete
-gamma, taken from scipy.special.gammainc, which loads at the first
-Ginibre eigenvalue rather than with the package.
+simulation of the restricted determinantal process possible.  Off the disc
+each lambda_n is one scalar formula through math, b**k - a**k per interval
+(k = 2n + 2) or -expm1(k log(a/b)) b**k where that cancels, so its bits
+depend on n alone.  The Ginibre kernel restricted to a centered disc of
+radius R has eigenvalues P(n+1, R**2) = gamma(n+1, R**2) / n!, the lower
+regularized incomplete gamma, taken from scipy.special.gammainc, which
+loads at the first Ginibre eigenvalue rather than with the package.
 """
 
 from __future__ import annotations
@@ -69,13 +71,15 @@ class BergmanSpectrum:
         self.region = region
         self._literal = region.literal()
         self._trace = region_trace(region)
-        self._a = np.array([a for a, _ in region.intervals])
+        inner = np.array([a for a, _ in region.intervals])
         self._b = np.array([b for _, b in region.intervals])
         with np.errstate(divide="ignore"):
-            self._log_ratio = np.log(self._a / self._b)  # -inf on a disc
-        # a disc's lambda_n is one power b**(2n+2): the bits of the general
-        # path, whose a**k is 0.0 there, without its expm1 branch
-        self._disc_radius = self._b[0] if self._b.size == 1 and self._a[0] == 0.0 else None
+            self._log_ratio = np.log(inner / self._b)  # -inf on a disc
+        # log(a/b) as log1p((a - b) / b): where _lambda reads it, a > b/2 and a - b is exact
+        self._ends = [(a, b, math.log1p((a - b) / b) if a else -math.inf) for a, b in region.intervals]
+        # a disc's lambda_n is one power b**(2n+2), the formula at a = 0, taken
+        # by numpy's pow, whose bits (1 ulp off libm's on some) the digests pin
+        self._disc_radius = self._b[0] if self._b.size == 1 and inner[0] == 0.0 else None
         self._memo = (None, None)  # (idx bytes, arrays) of _sampler_mixture
         self._plan = (None, None, None)  # (N, lambda_0..N-1, _rows(arange(N))), all by _eigenvalues
 
@@ -98,20 +102,20 @@ class BergmanSpectrum:
         return self._lambda(np.arange(n_eigen))
 
     def _lambda(self, idx: np.ndarray) -> np.ndarray:
-        """lambda_n for each index n of the int64 array idx."""
+        """lambda_n for each index n of the int64 array idx; off the disc one
+        entry at a time, in a plain loop (generators take 2-3 times as long)."""
         if self._disc_radius is not None:
             return self._disc_radius ** (2.0 * idx + 2.0)
-        e = (2.0 * idx + 2.0)[:, None]
-        bp = self._b[None, :] ** e
-        ap = self._a[None, :] ** e
-        # direct difference is exact-friendly; switch to expm1 only when the
-        # subtraction would cancel most of the mantissa (thin annuli)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log(self._a[None, :]) - np.log(self._b[None, :])
-            safe = np.where(bp > 0.0, bp, 1.0)
-            rel = np.where(bp > 0.0, -np.expm1(e * log_ratio) * safe, 0.0)
-        terms = np.where(ap > 0.5 * bp, rel, bp - ap)
-        return terms.sum(axis=1)
+        lam = []
+        for n in idx.tolist():
+            k = 2.0 * n + 2.0
+            total = 0.0
+            for a, b, ell in self._ends:
+                ak, bk = a**k, b**k
+                # the difference, or expm1 where it would cancel
+                total += -math.expm1(k * ell) * bk if ak > 0.5 * bk else bk - ak
+            lam.append(total)
+        return np.array(lam)
 
     def eigenvalue(self, n: int) -> float:
         return float(self._lambda(np.array([_as_int(n, "eigenvalue index", 0, _INDEX_END)]))[0])

@@ -286,35 +286,21 @@ def count_gof(
     obs = np.pad(obs, (0, width - len(obs)))
     exp_full = np.pad(exp_full, (0, width - len(exp_full)))
 
-    merged_obs: list[float] = []
-    merged_exp: list[float] = []
-    acc_o = acc_e = 0.0
+    cells = [[0.0, 0.0]]  # [observed, expected] per merged cell, the last one open
     for o, e in zip(obs, exp_full):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            merged_obs.append(acc_o)
-            merged_exp.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0.0 or acc_o > 0.0:
-        if merged_exp:
-            merged_obs[-1] += acc_o
-            merged_exp[-1] += acc_e
-        else:
-            merged_obs.append(acc_o)
-            merged_exp.append(acc_e)
-    if len(merged_exp) < 2:
+        if cells[-1][1] >= 5.0:
+            cells.append([0.0, 0.0])
+        cells[-1][0] += o
+        cells[-1][1] += e
+    if len(cells) > 1 and cells[-1][1] < 5.0:  # a short tail joins the cell before it
+        o, e = cells.pop()
+        cells[-1][0] += o
+        cells[-1][1] += e
+    if len(cells) < 2:
         raise DomainError("fewer than two cells with expected mass; nothing to test")
-    me = np.array(merged_exp)
-    extra = {"cells": len(me), "alpha": alpha}
-    return _pearson(name, np.array(merged_obs), me, len(me) - 1, alpha, int(reps), extra)
-
-
-def _partial_power_sum(r: float, n_eigen: int) -> float:
-    # sum_{n < N} r**(2n+2) = r**2 (1 - r**(2N)) / (1 - r**2)
-    if r == 0.0:
-        return 0.0
-    return r * r * -math.expm1(2.0 * n_eigen * math.log(r)) / ((1.0 - r) * (1.0 + r))
+    observed, expected = (np.array(column) for column in zip(*cells))
+    extra = {"cells": len(cells), "alpha": alpha}
+    return _pearson(name, observed, expected, len(cells) - 1, alpha, int(reps), extra)
 
 
 def intensity_profile_test(
@@ -323,11 +309,12 @@ def intensity_profile_test(
     """Compare per-bin point counts with the exact truncated expectations.
 
     For a radial bin (r1, r2] inside the region the truncated process puts
-    sum_{n < N} (r2**(2n+2) - r1**(2n+2)) points on average, independently
-    of the region (eigenvalue and normalizer cancel).  Pearson statistic
-    over the bins with known expectations, df = number of bins; the count
-    variance of a determinantal process is below its mean, so the gate is
-    conservative.
+    sum_{n < N} (r2**(2n+2) - r1**(2n+2)) points on average, the first N
+    eigenvalues of the annulus r1 <= |z| <= r2 summed, whatever the region
+    (eigenvalue and normalizer cancel); configurations from another region
+    than the spectrum's are refused.  Pearson statistic over the bins with
+    known expectations, df = number of bins; the count variance of a
+    determinantal process is below its mean, so the gate is conservative.
     """
     alpha = _as_real(alpha, "alpha", 0, 1)
     spectrum = _of_type(spectrum, BergmanSpectrum, "spectrum")
@@ -337,27 +324,23 @@ def intensity_profile_test(
     n_eigen = configs[0].meta.n_eigen
     if any(c.meta.n_eigen != n_eigen for c in configs):
         raise DomainError("configurations mix different truncation orders")
+    literal = spectrum.region.literal()
+    if any(c.meta.region != literal for c in configs):
+        raise DomainError(f"configurations sampled on another region than {literal}")
 
-    cleaned: list[tuple[float, float]] = []
-    for pair in _items(bins, "bins"):
-        r1, r2 = _as_pair(pair, "bin", 0, ends="[)")
-        if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
-            raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
-        cleaned.append((r1, r2))
+    cleaned = [_as_pair(pair, "bin", 0, ends="[)") for pair in _items(bins, "bins")]
     if not cleaned:
         raise DomainError("no bins supplied")
+    for r1, r2 in cleaned:
+        if not any(a <= r1 and r2 <= b for a, b in spectrum.region.intervals):
+            raise DomainError(f"bin ({r1}, {r2}) is not contained in the region")
     order = sorted(cleaned)
     for (l1, l2), (m1, m2) in zip(order, order[1:]):
         if m1 < l2:
             raise DomainError(f"bins ({l1}, {l2}) and ({m1}, {m2}) overlap")
 
     reps = len(configs)
-    expected = np.array(
-        [
-            reps * (_partial_power_sum(r2, n_eigen) - _partial_power_sum(r1, n_eigen))
-            for r1, r2 in cleaned
-        ]
-    )
+    expected = reps * np.array([BergmanSpectrum.annulus(*b).eigenvalues(n_eigen).sum() for b in cleaned])
     if np.any(expected <= 0.0):
         raise DomainError("a bin has zero expected count; widen it")
     # np.abs per configuration, so each modulus is the bits its own configuration's call gives

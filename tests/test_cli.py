@@ -536,17 +536,28 @@ def test_only_the_requested_format_is_built(command, capsys, monkeypatch):
         assert run(capsys, *argv, "--format", "csv")[0] == 0
 
 
-def _module(*argv):
+def _module(*argv, launch=subprocess.run, **kwargs):
+    """launch (subprocess.run or Popen) on the CLI module with argv and kwargs."""
     src = str(Path(cli.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run(
-        [sys.executable, "-m", "bergman_dpp.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return launch([sys.executable, "-m", "bergman_dpp.cli", *argv], env=env, **kwargs)
 
 
 def test_module_entry_point():
-    done = _module("--version")
+    done = _module("--version", capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "0.1.0\n")
-    done = _module("moduli", "--count", "2", "--nope")
+    done = _module("moduli", "--count", "2", "--nope", capture_output=True, text=True)
     assert done.returncode == 1 and done.stdout == ""
     assert "unrecognized arguments: --nope" in done.stderr
+
+
+def test_closed_pipe_exits_1_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # table is far larger than a pipe buffer, so the writer meets the closed end
+    argv = ("spectrum", "--region", "disc:0.9", "--n-eigen", "20000")
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True}
+    with _module(*argv, launch=subprocess.Popen, **pipes) as proc:
+        assert proc.stdout.readline() == "n,eigenvalue\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == ""

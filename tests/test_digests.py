@@ -21,7 +21,8 @@ behaviour: on 1001 points of [-5, 5], numpy's exp differs from math.exp
 (the libm's) on 41 under AVX-512 and on none on the libm path.  A process
 on any other path fails every digest test with a message naming it.
 test_digests_on_the_libm_path runs this file again in a subprocess under
-that variable, so an AVX-512 host checks both tables.
+that variable, so an AVX-512 host checks both tables, and both paths check
+that off the disc an eigenvalue's bits depend on its index alone.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from test_verify import random_spectra
@@ -181,12 +183,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("literal", sorted(SAMPLE_DIGESTS))
-def test_sample_digests(literal):
+def _spectrum(literal: str) -> BergmanSpectrum:
     parsed = parse_region_literal(literal)
     if isinstance(parsed, FamilySpec):
         parsed = construct_family(parsed).region
-    spectrum = BergmanSpectrum(parsed)
+    return BergmanSpectrum(parsed)
+
+
+@pytest.mark.parametrize("literal", sorted(SAMPLE_DIGESTS))
+def test_sample_digests(literal):
+    spectrum = _spectrum(literal)
     digests = tuple(
         _sha256(json.dumps(sample(spectrum, SamplerConfig(beta=5.0, seed=seed)).to_dict()).encode())
         for seed in range(len(SAMPLE_DIGESTS[literal]))
@@ -259,3 +265,28 @@ def test_digests_on_the_libm_path():
         [sys.executable, "-c", child], cwd=here, env=env, capture_output=True, text=True, timeout=600
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rule=midpoint",
+        "intervals:0.1-0.3,0.5-0.7,0.85-0.95",
+        "annulus:0.5:0.9",
+        "annulus:0.99:0.995",
+    ],
+)
+def test_eigenvalues_entry_by_entry(literal):
+    # off the disc every entry is one scalar formula: eigenvalues(N)[n] has
+    # the bits of eigenvalue(n) whatever N, and the family's thin annuli next
+    # to the unit circle are within 1e-14 of the exact sum
+    spectrum = _spectrum(literal)
+    single = np.array([spectrum.eigenvalue(n) for n in range(3000)])
+    for n_eigen in (1, 2, 3, 8, 3000):
+        assert spectrum.eigenvalues(n_eigen).tobytes() == single[:n_eigen].tobytes(), n_eigen
+    lam = spectrum.eigenvalues(3001)
+    with mp.workdps(60):
+        for n in (0, 10, 100, 1000, 2999):
+            k = 2 * n + 2
+            exact = mp.fsum(mp.mpf(b) ** k - mp.mpf(a) ** k for a, b in spectrum.region.intervals)
+            assert abs(lam[n] - exact) <= 1e-14 * exact, n

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
+from scipy.stats import ks_2samp
 
 from bergman_dpp import (
     ActiveIndexSet,
@@ -882,6 +884,60 @@ def test_moebius_count_law(literal, n_eigen, centre, rho):
     ]
     report = count_gof(np.bincount(counts), law)
     assert report.passed, report
+
+
+# the truncated-Haar oracle's phase tag: the library's streams use 0-2 and keep 3 unused
+HAAR_PHASE = 0xA5
+
+
+def _haar_block_eigenvalues(seed, reps, m):
+    """Eigenvalues of the top-left m x m block of an (m+1) x (m+1) Haar
+    unitary, one row per replica.  The unitary is the Q of a complex Gaussian
+    matrix with the phases of R's diagonal moved into it (Mezzadri), and the
+    Gaussians are ndtri of make_rng uniforms, not Generator.standard_normal,
+    whose stream NEP 19 does not promise to keep across numpy versions."""
+    d = m + 1
+    u = np.stack([make_rng(seed, r, HAAR_PHASE).random(2 * d * d) for r in range(reps)])
+    g = ndtri(u).reshape(reps, 2, d, d)
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return np.linalg.eigvals(q[:, :m, :m])
+
+
+def _configuration_statistics(configs) -> dict:
+    """One value per configuration, so that replicas stay independent:
+    |sum z|**2; and, where there are points enough, the mean nearest-neighbour
+    distance, the largest angle gap and the smallest modulus."""
+    stats = {"|sum z|^2": [], "nearest neighbour": [], "angle gap": [], "modulus": []}
+    for z in configs:
+        z = np.asarray(z, dtype=complex)
+        stats["|sum z|^2"].append(abs(z.sum()) ** 2)
+        if z.size:
+            stats["modulus"].append(np.abs(z).min())
+        if z.size >= 2:
+            dist = np.abs(z[:, None] - z[None, :])
+            np.fill_diagonal(dist, np.inf)
+            stats["nearest neighbour"].append(dist.min(axis=1).mean())
+            angles = np.sort(np.angle(z))
+            stats["angle gap"].append(np.diff(angles, append=angles[0] + 2.0 * math.pi).max())
+    return stats
+
+
+def test_truncated_haar_oracle():
+    # Zyczkowski and Sommers: the eigenvalues of an M x M block of an
+    # (M+1) x (M+1) Haar unitary have joint density prop. to prod |z_i - z_j|**2
+    # on the disc, the DPP of the Bergman kernel's first M eigenfunctions.  Those
+    # in |z| <= 0.9 are the law sample(disc:0.9, n_eigen=M) draws, with no code
+    # in common.  Two-sample KS on four statistics of 5000 replicas each,
+    # Bonferroni-corrected to 1e-3 overall.
+    m, reps, radius = 22, 5000, 0.9
+    oracle = [z[np.abs(z) <= radius] for z in _haar_block_eigenvalues(2026, reps, m)]
+    spectrum, config = BergmanSpectrum.disc(radius), SamplerConfig(n_eigen=m, seed=2026)
+    drawn = [sample(spectrum, config, r).points for r in range(reps)]
+    expected, got = _configuration_statistics(oracle), _configuration_statistics(drawn)
+    p_values = {name: ks_2samp(expected[name], got[name]).pvalue for name in expected}
+    assert min(p_values.values()) > 1e-3 / len(p_values), p_values
 
 
 # -----------------------------------------------------------------------------

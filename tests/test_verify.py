@@ -19,6 +19,7 @@ from bergman_dpp import (
     chernoff_consistency,
     chernoff_lower,
     chernoff_upper,
+    construct_family,
     count_gof,
     count_pmf,
     coupling_tail,
@@ -453,6 +454,26 @@ def test_intensity_profile_validation(disc09):
         intensity_profile_test(confs, disc09, [(0.0, 1e-300)])  # zero expected mass
     with pytest.raises(DomainError):
         intensity_profile_test([1, 2], disc09, [(0.0, 0.5)])
+
+
+def test_intensity_profile_needs_configurations_of_its_region(disc09, midpoint_family):
+    # disc:0.5's configurations read against disc:0.9's expectations would
+    # fail the gate and blame the sampler; they are refused instead
+    half = [sample(BergmanSpectrum.disc(0.5), SamplerConfig(beta=5.0, seed=2), replica=r) for r in range(50)]
+    with pytest.raises(DomainError, match="disc:0.9"):
+        intensity_profile_test(half, disc09, [(0.0, 0.5), (0.5, 0.9)])
+    own = [sample(disc09, SamplerConfig(n_eigen=half[0].meta.n_eigen, seed=2), replica=r) for r in range(3)]
+    with pytest.raises(DomainError):
+        intensity_profile_test(own + half[:1], disc09, [(0.0, 0.5)])
+    # a family's spectrum is the spectrum of its float region, whose literal
+    # its configurations carry
+    region = construct_family(midpoint_family).region
+    family = BergmanSpectrum(region)
+    confs = [sample(family, SamplerConfig(n_eigen=5, seed=2), replica=r) for r in range(3)]
+    assert confs[0].meta.region == region.literal() != disc09.region.literal()
+    assert intensity_profile_test(confs, family, [(0.2, 0.3)]).sample_size == 3
+    with pytest.raises(DomainError):
+        intensity_profile_test(confs, BergmanSpectrum.annulus(0.2, 0.3), [(0.2, 0.3)])
 
 
 def test_intensity_profile_needs_bins(disc09):
