@@ -283,7 +283,7 @@ def construct_family(spec: FamilySpec) -> FamilyBuild:
     before n = 50.  Strict interleaving and the per-step trace identity are
     certified on the native endpoints.
     """
-    import mpmath as mp  # here, not at module level: sample and verify never load it
+    import mpmath as mp  # here, not at module level: the package loads numpy only
     spec = _of_type(spec, FamilySpec, "family spec", RegionError)
     base = 60 + 2 * spec.count
     built = None

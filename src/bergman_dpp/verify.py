@@ -14,15 +14,16 @@ bits of the law alone.  That oracle anchors everything else:
 chi-square gates for Monte Carlo counts, Chernoff-vs-exact audits, and the
 dominance chain of the truncation bounds.  All gates run at a fixed
 significance and a fixed seed; a verdict is a pure comparison of statistic
-against threshold.  Every chi-square gate is one Pearson gate whose
-threshold comes from scipy.special.gammaincinv, and every Kolmogorov-Smirnov
-gate uses the asymptotic critical value.
+against threshold.  Every chi-square gate is one Pearson gate at the
+correctly rounded chi-square quantile, solved in mpmath, and every
+Kolmogorov-Smirnov gate uses the asymptotic critical value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -250,16 +251,30 @@ class GofReport:
 
 
 def _pearson(name, observed, expected, df, alpha, sample_size, extra) -> GofReport:
-    """Pearson chi-square gate of observed against expected counts.
-
-    The threshold is the chi-square (1 - alpha)-quantile on df degrees of
-    freedom, 2 P^-1(df/2, 1 - alpha) with P the regularized lower incomplete
-    gamma: the expression scipy.stats.chi2.ppf evaluates, to the bit.
-    """
-    from scipy.special import gammaincinv  # here, not at module level: the package loads numpy only
+    """Pearson chi-square gate of observed against expected counts at _chi2_quantile's threshold."""
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    threshold = float(2.0 * gammaincinv(df / 2.0, 1.0 - alpha))
+    threshold = _chi2_quantile(df, alpha)
     return GofReport(name, statistic, threshold, sample_size, statistic <= threshold, extra)
+
+
+@cache
+def _chi2_quantile(df: int, alpha: float) -> float:
+    """The double nearest the root x of Q(df/2, x/2) = alpha, Q mpmath's regularized
+    upper incomplete gamma (the lower tail's 1 - alpha rounds to 1 below 2**-53),
+    for df in [1, 10**6] and alpha in (0, 1): Pegasus steps on log Q at 40
+    digits inside Laurent and Massart's tail bounds."""
+    import mpmath as mp  # here, not at module level: the package loads numpy only
+    with mp.workdps(40):
+        a, t = mp.mpf(df) / 2, -mp.log(alpha)
+        lo, hi = max(0, df - 2 * mp.sqrt(-df * mp.log1p(-alpha))), df + 2 * mp.sqrt(df * t) + 2 * t
+
+        def gap(x):  # log Q(a, x/2) + t
+            if x <= df or a < 120:  # else gammainc may stop its 2F0 series too early
+                return mp.log(mp.gammainc(a, x / 2, mp.inf, regularized=True)) + t
+            f = mp.hyp2f0(1, 1 - a, -2 / x, maxterms=10**5)
+            return (a - 1) * mp.log(x / 2) - x / 2 - mp.loggamma(a) + mp.log(f) + t
+
+        return float(mp.findroot(gap, (lo, hi), solver="pegasus", maxsteps=200))
 
 
 def count_gof(

@@ -87,8 +87,10 @@ SAMPLE_DIGESTS = {
     ),
     "disc:0.995": ("bbc9ae03e66d42d3516495efb49d86f10a5fafa6efd01b444fc263d795bf9590",),
 }
-# the report file of `verify --reps 5000 --seed 7`
-VERIFY_DIGEST = "99c54f93e053e29f5db2922a860e856d5d9515ca403e7536d221ebc0039fa21e"
+# the report file of `verify --reps 5000 --seed 7`; its count-law row's
+# threshold (df 9, alpha 1e-3) is the correctly rounded 27.877164871256575,
+# 2 ulp above the 27.877164871256568 that scipy's gammaincinv gave
+VERIFY_DIGEST = "cd5e7d9e2fddddfa690639cc2fea64970fb83ba115d76fb4392d3d3b5b6824e5"
 # the report file of `verify --reps 300 --seed 11`: its positional gate
 # draws the floor of 200 replicas, not reps // 4
 VERIFY_FLOOR_DIGEST = "1cd1239e92cdfec6499d3dd1f3082d277f4628eefc23f09dc3a0675ddf0783ff"
@@ -152,7 +154,8 @@ LIBM_DIGESTS = {
         "269f90ef8a880c0df37924d7c63a92f92b18506b7af65f57072b953b404d2d5a",
     ),
     ("sample", "disc:0.995"): ("7171d3251a71e72a83f4b9c3bec0016a4a4c8710bbf251283aaa7a0cb295baf3",),
-    "verify": "108875c961ea791872f146d7ca79f117bdeaa4353b02ddbbcbfb2538c457ae76",
+    # the same one threshold line as VERIFY_DIGEST's moved
+    "verify": "eb05be11d894aaef30f71ae5ee77338853e43688fe609a6826244579ad65af05",
     "verify-floor": "cba4c4e47e1d6c5ef465c0bd11b62fa66c63c1125ace56ecf6754e12adb75e7e",
     ("count_pmf", 0.9995, 65): "88d6e7dc0bc2858aecda585d9c0175df2c42a9e3ed9098717b94a02f99e6cfbf",
     ("count_pmf", 0.9995, 192): "043f60e3bcd2ff1664738f4bf4d0e3bb909a30406e8053119347a6ddede45ba8",

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import pkgutil
 import re
 import subprocess
@@ -165,8 +166,7 @@ def test_ginibre_named_only_in_spectral_and_cli():
 
 
 def test_package_does_not_import_scipy_stats():
-    # the gates need only scipy.special; scipy.stats alone roughly doubled
-    # the import time and resident memory.  A fresh interpreter sees indirect
+    # scipy.stats alone roughly doubled the import time and resident memory.  A fresh interpreter sees indirect
     # imports that a scan of the sources would miss.
     src = str(Path(bergman_dpp.__file__).parent.parent)
     code = (
@@ -185,10 +185,11 @@ _GOF_EIGENVALUES = [0.95, 0.9, 0.7, 0.5, 0.3]
 
 def test_package_imports_numpy_alone():
     # scipy.special and mpmath cost more than half the start-up of every CLI
-    # call; they load at the first chi-square gate or Ginibre eigenvalue and
-    # at the first family construction, and those first calls must still
-    # give the values they give once the modules are loaded.  The exact
-    # count law needs numpy alone: its merges are direct convolutions
+    # call; mpmath loads at the first chi-square gate or family construction
+    # and scipy.special at the first Ginibre eigenvalue, and those first
+    # calls must still give the values they give once the modules are
+    # loaded.  The exact count law needs numpy alone: its merges are direct
+    # convolutions
     src = str(Path(bergman_dpp.__file__).parent.parent)
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import bergman_dpp, bergman_dpp.cli; "
@@ -211,3 +212,38 @@ def test_package_imports_numpy_alone():
     gof = count_gof(_GOF_HISTOGRAM, count_pmf(_GOF_EIGENVALUES))
     assert fresh["gof"] == json.loads(json.dumps(gof.to_dict()))
     assert fresh["eig"] == GinibreSpectrum(1.5).eigenvalues(4).tolist()
+
+
+_GATE_PATH = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+histogram, eigenvalues = json.loads(sys.argv[2])
+from bergman_dpp import BergmanSpectrum, GinibreSpectrum, SamplerConfig, count_gof, count_pmf
+from bergman_dpp import intensity_profile_test, sample
+from bergman_dpp.cli import main
+status = main(["verify", "--reps", "300", "--seed", "11", "--out", os.devnull])
+disc = BergmanSpectrum.disc(0.9)
+configs = [sample(disc, SamplerConfig(n_eigen=9, seed=19), replica=r) for r in range(40)]
+profile = intensity_profile_test(configs, disc, [(0.0, 0.5), (0.5, 0.9)])
+gof = count_gof(histogram, count_pmf(eigenvalues))
+on_gates = sorted(m for m in sys.modules if m.startswith("scipy"))
+GinibreSpectrum(1.5).eigenvalues(4)
+print(json.dumps({"status": status, "thresholds": [profile.threshold, gof.threshold],
+                  "on_gates": on_gates, "on_ginibre": "scipy.special" in sys.modules}))
+"""
+
+
+def test_gate_path_loads_no_scipy():
+    # the chi-square thresholds come from mpmath: scipy.special was a quarter
+    # of a verify run's peak memory.  The Ginibre spectrum is the one path
+    # that still loads it, the control that the probe sees it
+    src = str(Path(bergman_dpp.__file__).parent.parent)
+    gof = json.dumps([_GOF_HISTOGRAM, _GOF_EIGENVALUES])
+    out = subprocess.run(
+        [sys.executable, "-c", _GATE_PATH, src, gof], capture_output=True, text=True, check=True
+    ).stdout
+    fresh = json.loads(out)
+    assert fresh["status"] == 0
+    assert all(math.isfinite(t) and t > 0 for t in fresh["thresholds"])
+    assert fresh["on_gates"] == [], f"scipy modules loaded by the gates: {fresh['on_gates'][:5]}"
+    assert fresh["on_ginibre"], "GinibreSpectrum no longer loads scipy.special: the probe is blind"

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -35,7 +36,7 @@ from bergman_dpp import (
 from bergman_dpp import verify
 from bergman_dpp.cli import main
 from bergman_dpp.streams import PHASE_BERNOULLI
-from bergman_dpp.verify import _pearson
+from bergman_dpp.verify import _chi2_quantile, _pearson
 
 
 def brute_force_pmf(lam):
@@ -381,14 +382,39 @@ def test_count_gof_threshold_is_chi2_quantile(disc09, rng):
     assert rep.threshold == pytest.approx(sps.chi2.ppf(0.99, rep.extra["cells"] - 1))
 
 
-def test_pearson_threshold_is_scipy_chi2_quantile():
-    # the gates take the chi-square quantile from scipy.special; scipy.stats
-    # stays here as the reference, bit for bit
+def test_chi2_quantile_is_correctly_rounded():
+    # the threshold is the double nearest the root of Q(df/2, x/2) = alpha:
+    # the root lies between the midpoints to its neighbours, checked at 60
+    # digits with mpmath's upper incomplete gamma
+    for df, alpha in itertools.product(
+        (1, 2, 9, 60, 2000, 10**5, 10**6), (1e-300, 1e-17, 1e-3, 0.05, 0.5, 0.999999)
+    ):
+        x = _chi2_quantile(df, alpha)
+        with mp.workdps(60):
+            below, above = (mp.mpf(x) + mp.mpf(math.nextafter(x, y)) for y in (0.0, math.inf))
+            q = [mp.gammainc(mp.mpf(df) / 2, y / 4, mp.inf, regularized=True) for y in (below, above)]
+        assert q[0] >= alpha >= q[1], (df, alpha, x)
+
+
+def test_chi2_quantile_matches_scipy():
+    # scipy.stats stays the reference within 1e-14: chi2.ppf is off by up
+    # to 16 ulp for df <= 2000
     one = np.ones(1)
+    dfs = np.r_[1:101, 150:2001:50]
     for alpha in (1e-3, 0.01, 0.05):
-        ref = sps.chi2.ppf(1.0 - alpha, np.arange(1, 2001))
-        got = [_pearson("t", one, one, df, alpha, 1, None).threshold for df in range(1, 2001)]
-        assert np.array_equal(got, ref)
+        got = [_pearson("t", one, one, int(df), alpha, 1, None).threshold for df in dfs]
+        np.testing.assert_allclose(got, sps.chi2.ppf(1.0 - alpha, dfs), rtol=1e-14)
+
+
+def test_tiny_alpha_gate_fails_absurd_histogram():
+    # 1.0 - alpha rounds to 1.0 below 2**-53, so a lower-tail quantile was
+    # inf and every histogram passed; the upper tail keeps alpha apart from 0
+    law = count_pmf([0.95, 0.9, 0.7, 0.5, 0.3])
+    for alpha in (1e-17, 1e-300):
+        rep = count_gof([10000, 0, 0, 0, 0, 0], law, alpha=alpha)
+        assert math.isfinite(rep.threshold)
+        assert rep.threshold == pytest.approx(sps.chi2.isf(alpha, rep.extra["cells"] - 1), rel=1e-14)
+        assert not rep.passed
 
 
 def test_count_gof_validation():
