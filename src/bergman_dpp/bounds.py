@@ -114,7 +114,10 @@ def sufficiency_margin(eps: float, n_eigen: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Named bound values for one (radius, beta) cell of the audit grid."""
+    """Named bound values for one (radius, beta) cell of the audit grid.
+
+    Built from n_eigen alone (beta None) it has no exponential bound:
+    wasserstein_bound is NaN, and None (JSON null) in to_dict."""
 
     radius: float
     beta: float | None
@@ -126,7 +129,10 @@ class BoundReport:
     coincidence_probability: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.beta is None:  # no exponential bound without beta: null, as JSON has no NaN
+            values["wasserstein_bound"] = None
+        return values
 
 
 def build_bound_report(

@@ -498,6 +498,7 @@ EVERY_OUTPUT = [
     ("spectrum", "--ginibre", "2.0", "--n-eigen", "4"),
     ("spectrum", "--region", "disc:0.7", "--n-eigen", "4", "--format", "json"),
     ("bounds", "--radius", "0.8", "--beta", "2"),
+    ("bounds", "--radius", "0.9", "--n-eigen", "10"),
     ("region", "--spec", "annulus:0.5:0.9", "--delta", "0.2"),
     ("moduli", "--count", "3", "--seed", "2"),
     ("moduli", "--count", "3", "--seed", "2", "--format", "json"),
@@ -514,6 +515,28 @@ def test_out_file_matches_stdout(argv, tmp_path, capsys):
         assert rc == 0
         assert (target.read_text(encoding="utf-8") if target != "-" else again) == out
         assert again == ("" if target != "-" else out)
+
+
+# the outputs above that are JSON reports
+JSON_REPORTS = [argv for argv in EVERY_OUTPUT if "json" in argv or argv[0] in ("bounds", "region", "verify")]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_reports_cover_every_command():
+    commands = next(a.choices for a in cli._build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in JSON_REPORTS} == set(commands)
+
+
+@pytest.mark.parametrize("argv", JSON_REPORTS, ids=[" ".join(a) for a in JSON_REPORTS])
+def test_json_report_is_strict_json(argv, capsys):
+    # RFC 8259 has no NaN or Infinity, and strict parsers refuse them
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    report = json.loads(out, parse_constant=_no_constant)
+    assert set(report) == {"version", "config", "results"}
 
 
 @pytest.mark.parametrize("command", ["sample", "spectrum", "moduli"])

@@ -1,6 +1,9 @@
 """Frozen output bytes: SHA-256 digests of sample() reports, of two verify
 reports, of region, bounds and CLI sample reports and of count_pmf laws
-above one 64-eigenvalue block of its product tree.
+above one 64-eigenvalue block of its product tree, under count-law
+contract "tree-64-scaled" (merges in units of 2**-511; against "tree-64",
+which merged unscaled laws, the digests at N = 5000, 27624 and 299328 and
+that of the random spectra moved, only in entries below 2**-1000).
 
 A (seed, replica) replays byte-identically under SAMPLER_VERSION, so a
 change that only makes the sampler faster must leave every digest here as
@@ -106,29 +109,30 @@ REGION_DIGESTS = {
         "c4ebfeaa3c85da7221a5e1b3d48af2d4acd1a55b194e9cc16cb45ff8edb1860f"
     ),
 }
-# the report file of `bounds ...`, one with beta and one with n_eigen
+# the report file of `bounds ...`, one with beta and one with n_eigen, whose
+# wasserstein_bound is null: JSON has no NaN
 BOUNDS_DIGESTS = {
     ("--radius", "0.9", "--beta", "2"): (
         "b08c3de3e517fb215d6d4457e01ab051d275a66e155cb5d1f98badaf27284075"
     ),
     ("--radius", "0.99", "--n-eigen", "50"): (
-        "59b153684efef3e005136ba8f38869b46c93f40625a4230c10e325700b63f8e8"
+        "a9bae2672c4d44aa37b10b275d496814475ff656c23770a034274a9f04ed0326"
     ),
 }
 # the report file of `sample --region disc:0.9 --format json`, default beta
 CLI_SAMPLE_DIGEST = "42e433574b101f88fc6e826378def7d23c6c9246719f7e646a7c29705d7bf647"
 
 # count_pmf(disc(radius).eigenvalues(n)).pmf.tobytes(), count-law contract
-# "tree-64": 65 is two leaves, 192 carries an odd leaf up a level
+# "tree-64-scaled": 65 is two leaves, 192 carries an odd leaf up a level
 COUNT_PMF_DIGESTS = {
     (0.9995, 65): "b0c603cf4b1991106e4dfd9a2ed055a17e563c620774f8201eac7f429f89e177",
     (0.9995, 192): "13f8d47741646ee168cdddf6d7cdb9862aa70ddfb50812270088c5f8dde91033",
-    (0.9995, 5000): "904de769ed891807e9c27edf0a4eb50d76494442ea4fcaad87e596cc2cd5cf9b",
-    (0.9995, 27624): "b96e7b5bd68e9d47e5fa6174d940ac9eb46ffc5723e82cad45de01f2859cf9f7",
-    (0.99995, 299_328): "0e53afc5dbcc02a4230d78453fd200635b4115ce1f43ba0e3a64f59836083d62",
+    (0.9995, 5000): "b963270e4fe135e45488a1152adb06f1d1e0f474d531aefa32733452f203cdb6",
+    (0.9995, 27624): "5ccfa530377665081ef06c00e11f8512cd970f4d716767cfe8fea6cb41503d4d",
+    (0.99995, 299_328): "cdc1247b03c051f81011864611cdbbf9c8e4d480e9f39e48ddf9a8d8e5b5b152",
 }
 # the pmf bytes of each random_spectra() law longer than 64, in order
-RANDOM_COUNT_PMF_DIGEST = "0d6e0127e56f1643216d90fc1913ad1f493dc0e35b784bbd5ef1936fe744145c"
+RANDOM_COUNT_PMF_DIGEST = "315d23773e4a13b3141f26d78e5bb8a7eb7bb16a412bd33d6e1533d4273b93a7"
 
 # the libm path's digests where they differ from the ones above, same keys
 LIBM_DIGESTS = {
@@ -159,10 +163,10 @@ LIBM_DIGESTS = {
     "verify-floor": "cba4c4e47e1d6c5ef465c0bd11b62fa66c63c1125ace56ecf6754e12adb75e7e",
     ("count_pmf", 0.9995, 65): "88d6e7dc0bc2858aecda585d9c0175df2c42a9e3ed9098717b94a02f99e6cfbf",
     ("count_pmf", 0.9995, 192): "043f60e3bcd2ff1664738f4bf4d0e3bb909a30406e8053119347a6ddede45ba8",
-    ("count_pmf", 0.9995, 5000): "a3ad6b51cfe785359f47c14c389ea7feb3f5f624d005ad2eb130b69a3c917783",
-    ("count_pmf", 0.9995, 27624): "2e2ea95f3e8c017722025641c0175213da8d04e5598cf978c8d3498643c106d2",
-    ("count_pmf", 0.99995, 299_328): "4ed934666ca70618c8a2129b8252c6ddc5aec41d52da58fed8b59f19ded8f769",
-    "random count_pmf": "27535c64b6f5363aa0cf0344471dd5db7915a3b27649636988fede35e3cb4365",
+    ("count_pmf", 0.9995, 5000): "841fcdcee29fae5dec3d89e57a7b61b705dd8e2e534bdf5bdb01ad7bf37e4eea",
+    ("count_pmf", 0.9995, 27624): "331accb645c7a9e43118894ece1d49c28ea7f074ba13661e8db8f322a075786a",
+    ("count_pmf", 0.99995, 299_328): "d1cd65c2ef3823ecc9b37802ee78b5ee73a0fccd285edfb492b245b0a333bf62",
+    "random count_pmf": "2e4d3efa1e9500998a18c969f414ccd620947ebba4aaf4a4520bcdb313cfaac6",
 }
 
 # numpy's float64 path in this process: how many of its exp values on 1001

@@ -165,20 +165,6 @@ def test_ginibre_named_only_in_spectral_and_cli():
     assert not found, f"GinibreSpectrum imported outside spectral.py and cli.py: {found}"
 
 
-def test_package_does_not_import_scipy_stats():
-    # scipy.stats alone roughly doubled the import time and resident memory.  A fresh interpreter sees indirect
-    # imports that a scan of the sources would miss.
-    src = str(Path(bergman_dpp.__file__).parent.parent)
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import bergman_dpp, bergman_dpp.cli; "
-        "print(' '.join(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "", f"scipy.stats modules loaded: {out.split()[:5]}"
-
-
 _GOF_HISTOGRAM = [2, 30, 160, 420, 300, 88]
 _GOF_EIGENVALUES = [0.95, 0.9, 0.7, 0.5, 0.3]
 

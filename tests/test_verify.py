@@ -219,6 +219,25 @@ def test_count_pmf_product_without_mass_raises(monkeypatch):
         verify._count_pmfs([[0.5], [0.5] * 128 + [0.0] * 128])
 
 
+def test_count_pmf_merges_form_no_subnormal_product(monkeypatch):
+    # disc:0.9995 at N=5000 has tails far below 1e-150: in units of 2**-511
+    # the smallest product of two merged laws' entries is still a normal
+    # double, and no entry of a product can overflow
+    seen = []
+    convolve = np.convolve
+
+    def recorded(a, b):
+        seen.append((a[a > 0.0].min() * b[b > 0.0].min(), a.sum() * b.sum()))
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", recorded)
+    count_pmf(BergmanSpectrum.disc(0.9995).eigenvalues(5000))
+    assert len(seen) == 78  # 79 leaves
+    for smallest, mass in seen:
+        assert smallest >= verify._TINY
+        assert mass < 2.0**1023
+
+
 def _mixed_laws():
     """Spectra of 0 to 27624 eigenvalues, around the leaf width 64, some
     exactly 0 or 1, for one _count_pmfs call."""
