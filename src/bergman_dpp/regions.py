@@ -16,9 +16,10 @@ previous one (placement rule) and its outer radius solves
 which makes the full-family trace  b_0**2/(1-b_0**2) - a_0**2/(1-a_0**2)
 + sum(u_n).  Under contracting placement rules successive annuli shrink
 below float64 resolution after a few dozen steps (width ~ u_n * gap**2),
-so construction and its invariant checks run in adaptive multi-precision
-arithmetic; conversion to a float64 RadialRegion merges or drops intervals
-narrower than one ulp and reports the trace mass lost that way.
+so construction and its invariant checks run in the standard library's
+decimal arithmetic at adaptive precision, in a context of their own;
+conversion to a float64 RadialRegion merges or drops intervals narrower
+than one ulp and reports the trace mass lost that way.
 """
 
 from __future__ import annotations
@@ -216,16 +217,16 @@ class FamilySpec:
 class FamilyBuild:
     """A materialized family: float64 region plus exact-side diagnostics.
 
-    endpoints holds the native multi-precision interval endpoints; the
-    float64 region drops or merges intervals below one ulp and the trace
-    mass lost that way is recorded in dropped_trace.
+    endpoints holds the interval endpoints as decimal.Decimal pairs at the
+    build's precision; the float64 region drops or merges intervals below
+    one ulp and the trace mass lost that way is recorded in dropped_trace.
     residual_weight is the weight mass of the annuli beyond the horizon
     (count annuli consume weights u_0 .. u_{count-2}).
     """
 
     spec: FamilySpec
     region: RadialRegion
-    endpoints: tuple[tuple[object, object], ...]  # mpmath.mpf pairs
+    endpoints: tuple[tuple[object, object], ...]  # decimal.Decimal pairs
     materialized_trace: float
     residual_weight: float
     logit_defects: tuple[float, ...]
@@ -233,57 +234,78 @@ class FamilyBuild:
     dropped_trace: float
 
 
-def _next_inner(b, spec: FamilySpec):
-    # placement rule, evaluated at current mpmath precision
-    import mpmath as mp
+def _context(dps: int):
+    # a fresh context at dps digits: the caller's decimal context (precision,
+    # rounding, traps) never reaches the construction
+    import decimal
+    return decimal.Context(
+        prec=dps,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+
+
+def _next_inner(b, spec: FamilySpec, ctx):
+    # placement rule, evaluated in the construction's context
+    from decimal import Decimal
     if spec.rule == "midpoint":
-        return (b + 1) / 2
-    return b + mp.mpf(spec.theta) * (1 - b)
+        return ctx.divide(ctx.add(b, 1), 2)
+    return ctx.add(b, ctx.multiply(Decimal(spec.theta), ctx.subtract(1, b)))
+
+
+def _logit_sq_at(r, ctx):
+    # r**2 / (1 - r**2) in the construction's context
+    sq = ctx.multiply(r, r)
+    return ctx.divide(sq, ctx.subtract(1, sq))
 
 
 def _build_at_precision(spec: FamilySpec, dps: int):
     """One construction pass; returns None if the precision cannot resolve it."""
-    import mpmath as mp
-    with mp.workdps(dps):
-        resolution = mp.mpf(10) ** (-(dps - 15))
-        a = mp.mpf(spec.a0)
-        b = mp.mpf(spec.b0)
-        endpoints = [(a, b)]
-        defects = []
-        for k in range(spec.count - 1):
-            u = mp.mpf(spec.weights.term(k))
-            a_next = _next_inner(b, spec)
-            if not (b < a_next < 1):
-                return None
-            asq = a_next * a_next
-            one_minus = 1 - asq
-            bsq = (asq + u * one_minus) / (asq + (1 + u) * one_minus)
-            b_next = mp.sqrt(bsq)
-            if not (a_next < b_next < 1):
-                return None
-            # the trace increment of the new annulus must reproduce u exactly
-            t_a = asq / one_minus
-            t_b = b_next**2 / (1 - b_next**2)
-            defects.append(abs(t_b - t_a - u))
-            if (a_next - b) < resolution or (b_next - a_next) < resolution:
-                return None
-            a, b = a_next, b_next
-            endpoints.append((a, b))
-        trace = mp.fsum(
-            bb**2 / (1 - bb**2) - aa**2 / (1 - aa**2) for aa, bb in endpoints
-        )
-        return tuple(endpoints), tuple(float(d) for d in defects), float(trace)
+    from decimal import Decimal  # floats convert exactly
+    ctx = _context(dps)
+    resolution = Decimal(f"1e{15 - dps}")
+    a, b = Decimal(spec.a0), Decimal(spec.b0)
+    endpoints = [(a, b)]
+    defects = []
+    for k in range(spec.count - 1):
+        u = Decimal(spec.weights.term(k))
+        a_next = _next_inner(b, spec, ctx)
+        if not (b < a_next < 1):
+            return None
+        asq = ctx.multiply(a_next, a_next)
+        one_minus = ctx.subtract(1, asq)
+        num = ctx.add(asq, ctx.multiply(u, one_minus))
+        bsq = ctx.divide(num, ctx.add(asq, ctx.multiply(ctx.add(1, u), one_minus)))
+        b_next = ctx.sqrt(bsq)
+        if not (a_next < b_next < 1):
+            return None
+        # the trace increment of the new annulus must reproduce u exactly
+        t_a = ctx.divide(asq, one_minus)
+        t_b = _logit_sq_at(b_next, ctx)
+        defects.append(ctx.abs(ctx.subtract(ctx.subtract(t_b, t_a), u)))
+        if ctx.subtract(a_next, b) < resolution or ctx.subtract(b_next, a_next) < resolution:
+            return None
+        a, b = a_next, b_next
+        endpoints.append((a, b))
+    trace = 0
+    for aa, bb in endpoints:
+        trace = ctx.add(trace, ctx.subtract(_logit_sq_at(bb, ctx), _logit_sq_at(aa, ctx)))
+    return tuple(endpoints), tuple(float(d) for d in defects), float(trace)
 
 
 def construct_family(spec: FamilySpec) -> FamilyBuild:
     """Materialize the first count annuli of a nested family.
 
-    Runs in adaptive multi-precision arithmetic because contracting rules
-    shrink annuli roughly like u_n * gap_n**2, far below float64 ulps well
-    before n = 50.  Strict interleaving and the per-step trace identity are
-    certified on the native endpoints.
+    Runs in decimal arithmetic at adaptive precision (60 + 2 * count digits,
+    doubled up to three times) because contracting rules shrink annuli
+    roughly like u_n * gap_n**2, far below float64 ulps well before n = 50.
+    Every step is one correctly rounded +, -, *, / or square root in a fresh
+    context, so the result does not depend on the caller's decimal context.
+    Strict interleaving and the per-step trace identity are certified on the
+    native endpoints.
     """
-    import mpmath as mp  # here, not at module level: the package loads numpy only
     spec = _of_type(spec, FamilySpec, "family spec", RegionError)
     base = 60 + 2 * spec.count
     built = None
@@ -302,15 +324,15 @@ def construct_family(spec: FamilySpec) -> FamilyBuild:
     # accounting runs at build precision, the increments cancel to ~u_k
     kept: list[tuple[float, float]] = []
     dropped = 0
-    with mp.workdps(dps):
-        dropped_trace = mp.mpf(0)
-        for a, b in endpoints:
-            fa, fb = float(a), float(b)
-            if fb >= 1.0 or fa >= fb or (kept and fa <= kept[-1][1]):
-                dropped += 1
-                dropped_trace += b**2 / (1 - b**2) - a**2 / (1 - a**2)
-                continue
-            kept.append((fa, fb))
+    ctx, dropped_trace = _context(dps), 0
+    for a, b in endpoints:
+        fa, fb = float(a), float(b)
+        if fb >= 1.0 or fa >= fb or (kept and fa <= kept[-1][1]):
+            dropped += 1
+            increment = ctx.subtract(_logit_sq_at(b, ctx), _logit_sq_at(a, ctx))
+            dropped_trace = ctx.add(dropped_trace, increment)
+            continue
+        kept.append((fa, fb))
     region = make_region(kept)
 
     return FamilyBuild(
@@ -373,10 +395,16 @@ def check_properties(
         obj = construct_family(obj)
 
     if isinstance(obj, FamilyBuild):
-        import mpmath as mp
+        import decimal
+        # at MAX_PREC digits a sum of two Decimals is exact, so the threshold
+        # is 1 - delta itself (not 1.0 for delta below 1.1e-16) and each
+        # float() below rounds only once
+        exact = _context(decimal.MAX_PREC)
         spec, endpoints = obj.spec, obj.endpoints
-        threshold = mp.fsub(1, delta, exact=True)  # at 53 bits 1 - 1e-17 rounds to 1
-        measure = float(mp.pi * mp.fsum((b - a) * (b + a) for a, b in endpoints))
+        threshold = exact.subtract(1, decimal.Decimal(delta))
+        measure = math.pi * math.fsum(
+            float(exact.subtract(b, a)) * float(exact.add(b, a)) for a, b in endpoints
+        )
         gap0 = 1.0 - spec.b0
         predicted = 0
         if delta < gap0:

@@ -346,11 +346,12 @@ def test_11_family_construction(acceptance_log):
     # per-interval geometric remainders closed out exactly
     horizon = 64
     with mp.workdps(400):
+        endpoints = [(mp.mpf(str(a)), mp.mpf(str(b))) for a, b in build.endpoints]
         double_sum = mp.mpf(0)
         for n in range(horizon):
             p = 2 * n + 2
-            double_sum += mp.fsum(b**p - a**p for a, b in build.endpoints)
-        for a, b in build.endpoints:
+            double_sum += mp.fsum(b**p - a**p for a, b in endpoints)
+        for a, b in endpoints:
             a2, b2 = a * a, b * b
             double_sum += b2 ** (horizon + 1) / (1 - b2) - a2 ** (horizon + 1) / (1 - a2)
         double_sum = float(double_sum)

@@ -165,15 +165,33 @@ def test_ginibre_named_only_in_spectral_and_cli():
     assert not found, f"GinibreSpectrum imported outside spectral.py and cli.py: {found}"
 
 
+def test_mpmath_imported_only_in_verify():
+    # mpmath is the chi-square quantile's alone: any other module that
+    # imported it would bring its 20 ms import back to sample or region calls
+    package = Path(bergman_dpp.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if path.name != "verify.py" and any(n.split(".")[0] == "mpmath" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"mpmath imported outside verify.py: {found}"
+
+
 _GOF_HISTOGRAM = [2, 30, 160, 420, 300, 88]
 _GOF_EIGENVALUES = [0.95, 0.9, 0.7, 0.5, 0.3]
 
 
 def test_package_imports_numpy_alone():
     # scipy.special and mpmath cost more than half the start-up of every CLI
-    # call; mpmath loads at the first chi-square gate or family construction
-    # and scipy.special at the first Ginibre eigenvalue, and those first
-    # calls must still give the values they give once the modules are
+    # call; mpmath loads at the first chi-square gate (families are built in
+    # decimal) and scipy.special at the first Ginibre eigenvalue, and those
+    # first calls must still give the values they give once the modules are
     # loaded.  The exact count law needs numpy alone: its merges are direct
     # convolutions
     src = str(Path(bergman_dpp.__file__).parent.parent)
@@ -233,3 +251,33 @@ def test_gate_path_loads_no_scipy():
     assert all(math.isfinite(t) and t > 0 for t in fresh["thresholds"])
     assert fresh["on_gates"] == [], f"scipy modules loaded by the gates: {fresh['on_gates'][:5]}"
     assert fresh["on_ginibre"], "GinibreSpectrum no longer loads scipy.special: the probe is blind"
+
+
+_FAMILY_PATH = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+histogram, eigenvalues = json.loads(sys.argv[2])
+from bergman_dpp import count_gof, count_pmf
+from bergman_dpp.cli import main
+family = "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=50,rule=midpoint"
+status = [main(["sample", "--region", family, "--seed", "3", "--out", os.devnull]),
+          main(["region", "--spec", family, "--delta", "1e-20", "--out", os.devnull])]
+on_family = sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")
+count_gof(histogram, count_pmf(eigenvalues))
+print(json.dumps({"status": status, "on_family": on_family, "on_gate": "mpmath" in sys.modules}))
+"""
+
+
+def test_family_path_loads_no_mpmath():
+    # families are built in the standard library's decimal, so sampling on
+    # one or reporting on it never pays mpmath's import.  The chi-square
+    # gate still loads it, the control that the probe sees it
+    src = str(Path(bergman_dpp.__file__).parent.parent)
+    gof = json.dumps([_GOF_HISTOGRAM, _GOF_EIGENVALUES])
+    out = subprocess.run(
+        [sys.executable, "-c", _FAMILY_PATH, src, gof], capture_output=True, text=True, check=True
+    ).stdout
+    fresh = json.loads(out)
+    assert fresh["status"] == [0, 0]
+    assert fresh["on_family"] == [], f"mpmath modules loaded by a family: {fresh['on_family'][:5]}"
+    assert fresh["on_gate"], "count_gof no longer loads mpmath: the probe is blind"

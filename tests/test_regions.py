@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import mpmath as mp
@@ -160,6 +161,7 @@ def test_family_per_step_trace_increment(midpoint_family):
     build = construct_family(midpoint_family)
     with mp.workdps(300):
         for k, (a, b) in enumerate(build.endpoints[1:]):
+            a, b = mp.mpf(str(a)), mp.mpf(str(b))
             u = mp.mpf(midpoint_family.weights.term(k))
             inc = b**2 / (1 - b**2) - a**2 / (1 - a**2)
             assert abs(inc - u) < mp.mpf(10) ** -25
@@ -244,6 +246,31 @@ def test_check_properties_witness_below_double_epsilon(delta, index):
     rep = check_properties(spec, delta)
     assert rep.witness_found
     assert rep.witness_index == rep.predicted_witness_index == index
+
+
+def test_check_properties_family_ignores_mpmath_precision(midpoint_family):
+    # the measure and the witnesses come from the build's endpoints alone,
+    # not from mpmath's global working precision in the caller
+    build = construct_family(midpoint_family)
+    with mp.workdps(8):
+        rep = check_properties(build, 1e-3)
+    assert rep.measure == 0.2721548665551216
+    assert rep == check_properties(build, 1e-3)
+
+
+def test_family_ignores_the_callers_decimal_context(midpoint_family):
+    # the construction runs in its own context: a caller's low precision,
+    # directed rounding or extra traps change nothing and raise nothing
+    deltas = (0.5, 1e-3, 1e-17, 1e-30)
+    want = construct_family(midpoint_family)
+    reports = [check_properties(want, d) for d in deltas]
+    caller = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR, traps=[decimal.Inexact])
+    with decimal.localcontext(caller):
+        build = construct_family(midpoint_family)
+        got = [check_properties(build, d) for d in deltas]
+        from_spec = check_properties(midpoint_family, 1e-3)
+    assert build == want
+    assert got == reports and from_spec == reports[1]
 
 
 def test_check_properties_region():
