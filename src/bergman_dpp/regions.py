@@ -154,8 +154,10 @@ class GeometricWeights:
     ratio: float
 
     def __post_init__(self):
-        _as_real(self.u0, "geometric weight u0", error=RegionError)
-        _as_real(self.ratio, "geometric ratio", 0, 1, RegionError)
+        u0 = _as_real(self.u0, "geometric weight u0", error=RegionError)
+        ratio = _as_real(self.ratio, "geometric ratio", 0, 1, RegionError)
+        # so a family's trace is finite too: its seed term is below 2**52
+        _as_real(u0 / (1.0 - ratio), "geometric weight total", error=RegionError)
 
     def term(self, k: int) -> float:
         k = _as_int(k, "geometric weight index", 0, _INDEX_END, RegionError)

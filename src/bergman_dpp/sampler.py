@@ -13,10 +13,10 @@ to b**(2n+2) - a**(2n+2), r**(2n+2) inverted there in closed form, and a
 uniform angle.  Acceptance with probability p_i(x) (m - i + 1) / ||phi_I(x)||**2
 needs no envelope, and a configuration takes m H_m proposals on average
 (Hough, Krishnapur, Peres and Virag 2006; Lavancier, Moller and Rubak 2015).
-_proposals reads BergmanSpectrum._sampler_mixture's four arrays as it
-returns them (table, cumulated masses, complex indices and log-space
-normalizers of phi_n), sliced by one expression from the plan's rows of the
-last truncation N or, on another N, from the last active set's, memoized.
+_proposals reads the four arrays of the plan's mixture(I) as they come
+(table, cumulated masses, complex indices and log-space normalizers of
+phi_n), sliced from the rows of every index below N in the one plan that
+spectral._plan_of keeps per spectrum and truncation N, whoever calls.
 
 Stream discipline: point i draws chunks of
 min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
@@ -57,7 +57,7 @@ from .errors import (
     _of_type,
     _truncation,
 )
-from .spectral import BergmanSpectrum, _eigenvalues, _spectrum_method
+from .spectral import BergmanSpectrum, _plan_of, _spectrum_method
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms, make_rng
 
 __all__ = [
@@ -211,7 +211,7 @@ def default_truncation(spectrum, beta: float) -> int:
 
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
     """Select each index n < n_eigen independently with probability lambda_n."""
-    lam = _eigenvalues(spectrum, n_eigen)
+    lam = _plan_of(spectrum, n_eigen).lam
     return ActiveIndexSet._of_hits(_generator(rng).random(lam.size) < lam)
 
 
@@ -219,8 +219,7 @@ def _rows(n: int, m: int):
     """Empty arrays for n evaluated proposals of m active indices, the rows
     _proposals fills: acceptance uniforms, log z, phi_I(z), ||phi_I(z)||**2
     and the denominator of the acceptance ratio."""
-    accept, norm_sq, denom = np.empty((3, n))
-    return accept, np.empty(n, complex), np.empty((n, m), complex), norm_sq, denom
+    return np.empty(n), np.empty(n, complex), np.empty((n, m), complex), np.empty(n), np.empty(n)
 
 
 def _proposals(u, table, cum, idx, log_inv, out) -> None:
@@ -233,8 +232,8 @@ def _proposals(u, table, cum, idx, log_inv, out) -> None:
     # r**k uniform between a**k and b**k; 1 - u lies in (0, 1], so r > 0
     r = t[:, 0] * (t[:, 1] + (1.0 - u[:, 1]) * t[:, 2]) ** t[:, 3]
     # log r + 2 pi i u, whose complex product and sum would add exact zeros
-    log_z.real = np.log(r)
-    log_z.imag = (2.0 * math.pi) * u[:, 2]
+    np.log(r, out=log_z.real)
+    np.multiply(2.0 * math.pi, u[:, 2], out=log_z.imag)
     np.exp(np.multiply.outer(log_z, idx) + log_inv, feats)
     np.add.reduce(np.square(feats.view(float)), 1, None, norm_sq)
     # a proposal where every phi_n underflows has ratio 0 / 1: a rejection
@@ -246,7 +245,9 @@ def sample_positions(
     active: ActiveIndexSet,
     rng: np.random.Generator,
 ) -> PointConfiguration:
-    """Draw one position per active index through the residual densities."""
+    """Draw one position per active index through the residual densities.
+
+    A nonempty active set needs the plan of its N, else DomainError."""
     _of_type(spectrum, BergmanSpectrum, "spectrum")
     _of_type(active, ActiveIndexSet, "active set")
     _generator(rng)
@@ -256,7 +257,7 @@ def sample_positions(
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = spectrum._sampler_mixture(idx, active.n_eigen)
+        mixture = _plan_of(spectrum, active.n_eigen).mixture(idx)
         # point i reads only the rows of the points before it
         basis = np.empty((m, m), dtype=complex)
         conj_basis = np.empty((m, m), dtype=complex)  # conj(basis), row by row
@@ -332,7 +333,8 @@ def sample_positions(
                 f"Gram-Schmidt residual {nrm} below {GS_NORM_FLOOR} at point "
                 f"{i + 1} of {m}: numerically duplicate draw"
             )
-        np.conjugate(np.divide(v, nrm, out=basis[i]), out=conj_basis[i])
+        if i + 1 < m:  # no point reads the last one's row
+            np.conjugate(np.divide(v, nrm, out=basis[i]), out=conj_basis[i])
 
     meta = SampleMeta(
         region=spectrum._literal,
@@ -365,7 +367,7 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     idx = np.array(active.indices, dtype=int)
     u = np.concatenate([*_replica_uniforms(seed, np.arange(replicas), PHASE_SAMPLE, 4)])
     accept, log_z, _, norm_sq, denom = rows = _rows(len(u), 1)
-    _proposals(u, *spectrum._sampler_mixture(idx, active.n_eigen), rows)
+    _proposals(u, *_plan_of(spectrum, active.n_eigen).mixture(idx), rows)
     ratio = norm_sq / denom
     # a norm above twice the floor passes the floor check however vdot rounds
     certain = (ratio == 1.0) & (accept < ratio) & (norm_sq > 4.0 * GS_NORM_FLOOR**2)

@@ -20,6 +20,7 @@ loads at the first Ginibre eigenvalue rather than with the package.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class BergmanSpectrum:
         # a disc's lambda_n is one power b**(2n+2), the formula at a = 0, taken
         # by numpy's pow, whose bits (1 ulp off libm's on some) the digests pin
         self._disc_radius = self._b[0] if self._b.size == 1 and inner[0] == 0.0 else None
-        self._memo = (None, None)  # (idx bytes, arrays) of _sampler_mixture
-        self._plan = (None, None, None)  # (N, lambda_0..N-1, _rows(arange(N))), all by _eigenvalues
+        self._plan = None  # the _Plan of the last truncation, written by _plan_of only
 
     @classmethod
     def disc(cls, radius: float) -> "BergmanSpectrum":
@@ -150,37 +150,6 @@ class BergmanSpectrum:
         log_inv = 0.5 * (np.log((idx + 1.0) / math.pi) - k[:, 0] * log_outer - np.log(row))
         return table, mass / row[:, None], log_inv
 
-    def _sampler_mixture(self, idx: np.ndarray, n_eigen: int):
-        """What sampler._proposals reads for active indices idx below n_eigen:
-        the table of _rows(idx) index-major, one row per (index, interval)
-        pair; the pair masses cumulated; idx and the log normalizers as
-        complex arrays, exact casts that numpy would otherwise make per call.
-
-        One expression slices both sources: the plan's rows of every index
-        below n_eigen, which _eigenvalues builds and this method only reads,
-        when n_eigen is the plan's (every sample call); else _rows(idx), whose
-        arrays a one-entry memo keyed by idx.tobytes() keeps, shared and so
-        read-only (direct calls on another N, verify's one-point draws)."""
-        # one read of each memo, so a call never pairs one key with another's arrays
-        n, _, rows = self._plan
-        key, at = None, idx
-        if n != n_eigen:
-            key, (memo_key, arrays) = idx.tobytes(), self._memo
-            if memo_key == key:
-                return arrays
-            rows, at = self._rows(idx), np.arange(idx.size)
-        arrays = (
-            rows[0].take(at, 0).reshape(-1, 4),
-            np.add.accumulate(rows[1].take(at, 0).ravel()),
-            idx.astype(complex),
-            rows[2].take(at).astype(complex),
-        )
-        if key is not None:
-            for a in arrays:
-                a.flags.writeable = False
-            self._memo = (key, arrays)
-        return arrays
-
     def feature_matrix(self, indices, z) -> np.ndarray:
         """Matrix phi_n(z_i) = exp(n log z_i + log(1/sqrt(nu_n))) for z_i in the closed region.
 
@@ -227,25 +196,48 @@ def _spectrum_method(spectrum, name: str):
     return method
 
 
-def _eigenvalues(spectrum, n_eigen: int) -> np.ndarray:
-    """The first n_eigen eigenvalues of any spectrum, checked to be finite, in
-    [0, 1] and n_eigen of them.  A BergmanSpectrum (not a subclass) keeps
-    them, read-only, with the _rows of every index below n_eigen, as its
-    whole plan for n_eigen until another n_eigen replaces it; a failed check
-    keeps nothing.  This is the plan's one writer."""
+@dataclass(frozen=True)
+class _Plan:
+    """A spectrum's sampling plan for truncation n_eigen, read-only so that
+    threads share it: its checked eigenvalues lam and, on a BergmanSpectrum,
+    the _rows of every index below n_eigen (log normalizers as complex)."""
+
+    n_eigen: int
+    lam: np.ndarray
+    rows: tuple | None = None
+
+    def __post_init__(self):
+        for a in (self.lam, *(self.rows or ())):
+            a.flags.writeable = False
+
+    def mixture(self, idx: np.ndarray):
+        """What sampler._proposals reads for the active indices idx: their table
+        rows index-major, one per (index, interval) pair, their pair masses
+        cumulated, and idx and their log normalizers as complex arrays."""
+        table, mass, log_inv = self.rows
+        cum = np.add.accumulate(mass.take(idx, 0).ravel())
+        return table.take(idx, 0).reshape(-1, 4), cum, idx.astype(complex), log_inv.take(idx)
+
+
+def _plan_of(spectrum, n_eigen: int) -> _Plan:
+    """The plan of any spectrum for n_eigen, its eigenvalues checked to be
+    finite, in [0, 1] and n_eigen of them, else DomainError.  The one writer
+    of BergmanSpectrum._plan: a BergmanSpectrum, subclasses included, keeps
+    its last plan, and a failed check keeps nothing; any other spectrum gets
+    a plan without rows, kept nowhere."""
     n_eigen = _as_int(n_eigen, "n_eigen", 1)
-    exact = type(spectrum) is BergmanSpectrum
-    if exact:
-        n, lam, _ = spectrum._plan  # one read, as in _sampler_mixture
-        if n == n_eigen:
-            return lam
+    bergman = isinstance(spectrum, BergmanSpectrum)
+    plan = spectrum._plan if bergman else None  # one read, so threads may replace it
+    if plan is not None and plan.n_eigen == n_eigen:
+        return plan
     lam = _as_reals(_spectrum_method(spectrum, "eigenvalues")(n_eigen), "eigenvalues", 0, 1, ends="[]")
     if lam.shape != (n_eigen,):
         raise DomainError(f"spectrum must provide {n_eigen} eigenvalues")
-    if exact:
-        lam.flags.writeable = False
-        spectrum._plan = (n_eigen, lam, spectrum._rows(np.arange(n_eigen)))
-    return lam
+    if not bergman:
+        return _Plan(n_eigen, lam)
+    table, mass, log_inv = spectrum._rows(np.arange(n_eigen))
+    spectrum._plan = plan = _Plan(n_eigen, lam, (table, mass, log_inv.astype(complex)))
+    return plan
 
 
 class GinibreSpectrum:
@@ -257,6 +249,8 @@ class GinibreSpectrum:
 
     def __init__(self, radius: float):
         self.radius = _as_real(radius, "Ginibre radius")
+        # the trace R**2 too is a float, so a report never reads inf
+        _as_real(self.radius * self.radius, "squared Ginibre radius", 0, ends="[)")
 
     def __repr__(self):
         return f"GinibreSpectrum({self.radius!r})"

@@ -36,7 +36,7 @@ from .errors import _INDEX_END, DomainError, _as_int, _as_ints, _as_pair, _as_re
 from .errors import _elements, _items, _of_type
 from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
 from .sampler import _moduli, _single_index_points
-from .spectral import BergmanSpectrum, _eigenvalues
+from .spectral import BergmanSpectrum, _plan_of
 from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
 from .streams import _REPLICA_END, _SEED_END, _replica_uniforms
 
@@ -231,7 +231,7 @@ def mc_count_stats(spectrum, config: SamplerConfig, reps: int) -> CountStats:
     """
     reps = _as_int(reps, "reps", 1, _REPLICA_END)
     config = _of_type(config, SamplerConfig, "config")
-    lam = _eigenvalues(spectrum, config.resolve_truncation(spectrum))
+    lam = _plan_of(spectrum, config.resolve_truncation(spectrum)).lam
     blocks = _replica_uniforms(config.seed, np.arange(reps), PHASE_BERNOULLI, lam.size)
     counts = np.concatenate([np.count_nonzero(u < lam, axis=1) for u in blocks])
     var = float(counts.var(ddof=1)) if reps > 1 else 0.0

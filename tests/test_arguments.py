@@ -85,10 +85,12 @@ INT_CASES = [
     ("SamplerConfig.n_eigen", lambda v: SamplerConfig(n_eigen=v), 3, (0,), DomainError),
     ("SamplerConfig.seed", lambda v: SamplerConfig(beta=1.0, seed=v), 7, (-1, 1 << 64), DomainError),
     ("ActiveIndexSet.indices", lambda v: ActiveIndexSet((v,), 8), 2, (-1, 8), DomainError),
+    # an index below 2**63 and a truncation beyond it: a set no plan holds
+    ("ActiveIndexSet.indices.int64", lambda v: ActiveIndexSet((v,), 1 << 65), 1 << 62, BEYOND_INT64, DomainError),
     (
         "sample_positions.active_index",
-        lambda v: sample_positions(SPEC, ActiveIndexSet((v,), 1 << 65), make_rng(0)),
-        1 << 62, BEYOND_INT64, DomainError,
+        lambda v: sample_positions(SPEC, ActiveIndexSet((v,), 300), make_rng(0)),
+        299, (-1, 300) + BEYOND_INT64, DomainError,
     ),
     ("ActiveIndexSet.n_eigen", lambda v: ActiveIndexSet((), v), 3, (-1,), DomainError),
     ("make_rng.seed", lambda v: make_rng(v), 3, (-1, 1 << 64), DomainError),
@@ -150,7 +152,8 @@ REAL_CASES = [
     ("chernoff_upper.mean", lambda v: chernoff_upper(v, 0.5), 3.0, (0.0,), DomainError),
     ("chernoff_upper.c", lambda v: chernoff_upper(3.0, v), 0.5, (0.0,), DomainError),
     ("sufficiency_margin.eps", lambda v: sufficiency_margin(v, 3), 0.5, (0.0, 1.0), DomainError),
-    ("GinibreSpectrum.radius", GinibreSpectrum, 1.5, (0.0,), DomainError),
+    # a radius whose square, the trace, overflows
+    ("GinibreSpectrum.radius", GinibreSpectrum, 1.5, (0.0, 1e200), DomainError),
     ("ks_critical_value.alpha", lambda v: ks_critical_value(100, v), 0.01, (0.0, 1.0), DomainError),
     ("count_gof.alpha", lambda v: count_gof(HIST, DIST, alpha=v), 0.01, (0.0, 1.0), DomainError),
     # every histogram entry is a count: a finite non-negative integer
@@ -169,7 +172,8 @@ REAL_CASES = [
     ("disc.radius", disc, 0.5, (0.0, 1.0), RegionError),
     ("annulus.inner", lambda v: annulus(v, 0.9), 0.5, (-0.1, 0.9), RegionError),
     ("annulus.outer", lambda v: annulus(0.5, v), 0.9, (0.5, 1.0), RegionError),
-    ("GeometricWeights.u0", lambda v: GeometricWeights(v, 0.5), 0.1, (0.0,), RegionError),
+    # a weight whose total u0 / (1 - ratio) overflows
+    ("GeometricWeights.u0", lambda v: GeometricWeights(v, 0.5), 0.1, (0.0, 1e308), RegionError),
     ("GeometricWeights.ratio", lambda v: GeometricWeights(0.1, v), 0.5, (0.0, 1.0), RegionError),
     ("FamilySpec.a0", lambda v: _family(a0=v), 0.2, (0.0, 0.3), RegionError),
     ("FamilySpec.b0", lambda v: _family(b0=v), 0.3, (0.2, 1.0), RegionError),

@@ -539,6 +539,20 @@ def test_json_report_is_strict_json(argv, capsys):
     assert set(report) == {"version", "config", "results"}
 
 
+# inputs whose report would carry a trace of inf, which is not JSON
+OVERFLOWING = [
+    ("region", "--spec", "family:a0=0.2,b0=0.3,u0=1e308,q=0.5,K=3"),
+    ("spectrum", "--ginibre", "1e200", "--n-eigen", "2", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING, ids=[" ".join(a) for a in OVERFLOWING])
+def test_overflowing_trace_is_a_validation_error(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("bergman-dpp: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["sample", "spectrum", "moduli"])
 def test_only_the_requested_format_is_built(command, capsys, monkeypatch):
     # a JSON run formats no CSV line, and a CSV run dumps no JSON report

@@ -114,17 +114,17 @@ def test_generators_rekeyed_only_in_streams():
 
 
 def test_spectrum_caches_read_only_in_spectral():
-    # spectral._eigenvalues is the one checked path to a spectrum's
-    # eigenvalues, and BergmanSpectrum._sampler_mixture the one path from its
-    # rows to the sampler's arrays: a module that read the plan or the memo,
-    # or built rows itself, would hold arrays those paths did not check or slice
+    # spectral._plan_of is the one checked path to a spectrum's eigenvalues
+    # and rows, and the plan's mixture the one path from its rows to the
+    # sampler's arrays: a module that read the plan field, or built rows
+    # itself, would hold arrays those paths did not check or slice
     package = Path(bergman_dpp.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "spectral.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Attribute) and node.attr in ("_plan", "_memo"))
+        if (isinstance(node, ast.Attribute) and node.attr == "_plan")
         or (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -134,8 +134,14 @@ def test_spectrum_caches_read_only_in_spectral():
     assert not found, f"spectrum caches or rows used outside spectral.py: {found}"
 
 
+def test_plans_built_only_in_spectral():
+    # a _Plan built outside _plan_of would carry eigenvalues no check passed
+    builders = _lines_matching(r"\b_Plan\s*\(", "spectral.py")
+    assert not builders, f"sampling plans built outside spectral.py: {builders}"
+
+
 def test_plan_has_one_writer():
-    # _eigenvalues builds the plan whole after its check; every other
+    # _plan_of builds the plan whole after its check; every other
     # method of spectral.py only reads it
     tree = ast.parse((Path(bergman_dpp.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
     writers = sorted(
@@ -147,7 +153,7 @@ def test_plan_has_one_writer():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Attribute) and target.attr == "_plan"
     )
-    assert writers == ["__init__", "_eigenvalues"]
+    assert writers == ["__init__", "_plan_of"]
 
 
 def test_ginibre_named_only_in_spectral_and_cli():

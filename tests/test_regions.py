@@ -128,6 +128,19 @@ def test_geometric_weights_identities():
         GeometricWeights(-0.1, 0.5)
 
 
+def test_largest_weights_keep_the_family_trace_finite():
+    # the largest total the weights accept, with b0 just below 1: the seed
+    # term is below 2**52, so the closed-form trace cannot round up to inf,
+    # and a report never writes one
+    largest = np.finfo(float).max
+    w = GeometricWeights(largest / 2, 0.5)
+    assert w.total() == largest
+    spec = FamilySpec(a0=0.2, b0=math.nextafter(1.0, 0.0), weights=w, count=3)
+    assert family_trace_closed_form(spec) == largest
+    with pytest.raises(RegionError, match="total"):
+        GeometricWeights(largest, 0.5)
+
+
 # -----------------------------------------------------------------------------
 # family construction
 # -----------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -254,7 +255,7 @@ def test_plan_reused_across_replicas(monkeypatch):
     assert lam.flags.writeable and lam is not spectrum.eigenvalues(22)
     lam[:] = 1.0
     with pytest.raises(ValueError):
-        spectral._eigenvalues(spectrum, 22)[:] = 1.0
+        spectral._plan_of(spectrum, 22).lam[:] = 1.0
     assert [sample(spectrum, config, r).to_dict() for r in range(20)] == [
         c.to_dict() for c in confs
     ]
@@ -272,12 +273,79 @@ def test_plan_not_stored_for_unchecked_spectra(monkeypatch):
     for _ in range(3):
         with pytest.raises(DomainError):
             sample(spectrum, SamplerConfig(n_eigen=5), 0)
-    assert calls == [5, 5, 5] and spectrum._plan == (None, None, None)
+    assert calls == [5, 5, 5] and spectrum._plan is None
+
+
+def test_direct_calls_build_one_plan_per_truncation(monkeypatch):
+    # sample_positions and the one-point draws read the plan of their
+    # active set's N: repeated calls evaluate the eigenvalues once per
+    # (spectrum, N), whichever active set they carry, and give the bytes a
+    # fresh spectrum gives
+    sets = [ActiveIndexSet((0, 3), 5), ActiveIndexSet((1, 2, 4), 5), ActiveIndexSet((6,), 7)]
+
+    def draws(spectrum):
+        return [
+            sample_positions(spectrum, active, make_rng(4, r)).to_dict()
+            for active in sets
+            for r in range(10)
+        ]
+
+    want = draws(BergmanSpectrum.disc(0.9))
+    one = sampler._single_index_points(BergmanSpectrum.disc(0.9), sets[2], 4, 50)
+    calls = _counted_eigenvalues(monkeypatch)
+    spectrum = BergmanSpectrum.disc(0.9)
+    assert draws(spectrum) == want and calls == [5, 7]
+    for _ in range(3):
+        got = sampler._single_index_points(spectrum, sets[2], 4, 50)
+        assert got.tobytes() == one.tobytes()
+    assert calls == [5, 7]
+    sample_positions(spectrum, sets[0], make_rng(0))
+    assert calls == [5, 7, 5] and spectrum._plan.n_eigen == 5
+
+
+def test_unplannable_truncation_raises_before_allocating():
+    # no Bernoulli phase draws an active set of N = 2**65, and no plan holds
+    # one: the eigenvalue count check refuses it before any array is built
+    spectrum = BergmanSpectrum.disc(0.9)
+    active = ActiveIndexSet((1 << 62,), 1 << 65)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="n_eigen"):
+            sample_positions(spectrum, active, make_rng(0))
+        with pytest.raises(DomainError, match="n_eigen"):
+            sampler._single_index_points(spectrum, active, 0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16 and spectrum._plan is None
+    # an empty active set needs no plan
+    assert len(sample_positions(spectrum, ActiveIndexSet((), 1 << 65), make_rng(0))) == 0
+
+
+PLAN_SPECTRA = [BergmanSpectrum.disc(0.9), BergmanSpectrum.annulus(0.5, 0.9), GinibreSpectrum(1.5)]
+
+
+@pytest.mark.parametrize("spectrum", PLAN_SPECTRA, ids=repr)
+def test_plan_arrays_are_read_only(spectrum):
+    # threads share a plan, so none of its arrays can be written; a duck
+    # spectrum's plan has no rows and is kept nowhere
+    bergman = isinstance(spectrum, BergmanSpectrum)
+    plan = spectral._plan_of(spectrum, 12)
+    arrays = [plan.lam, *(plan.rows or ())]
+    assert len(arrays) == (4 if bergman else 1)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.lam = np.zeros(12)
+    assert getattr(spectrum, "_plan", None) is (plan if bergman else None)
 
 
 class CountingSpectrum(BergmanSpectrum):
-    """A subclass, whose methods sample treats as user code: it keeps no
-    plan and draws from make_rng rather than the thread's kept generator."""
+    """A subclass, whose methods sample treats as user code: it keeps its
+    plan as the base class does, but draws from make_rng rather than the
+    thread's kept generator."""
 
     def __init__(self, region):
         super().__init__(region)
@@ -296,11 +364,12 @@ def test_subclass_samples_like_the_base_class(literal):
     got = [sample(sub, config, r).to_dict() for r in range(30)]
     assert got == [sample(base, config, r).to_dict() for r in range(30)]
     assert any(conf["points"] for conf in got)
-    # no plan: the eigenvalues are evaluated and checked on every call
-    assert sub._plan == (None, None, None) and sub.calls == 30
+    # its plan: the eigenvalues are evaluated and checked once
+    n = sub._plan.n_eigen
+    assert n == base._plan.n_eigen and sub.calls == 1
     for _ in range(3):
-        spectral._eigenvalues(sub, 22)
-    assert sub._plan == (None, None, None) and sub.calls == 33
+        assert spectral._plan_of(sub, n) is sub._plan
+    assert sub.calls == 1
 
 
 def test_plan_shared_across_threads():

@@ -33,6 +33,7 @@ from bergman_dpp import (
 )
 from bergman_dpp import sampler
 from bergman_dpp.sampler import _CHUNK_CAP, _MAX_REJECTIONS, _RATIO_SLACK, GS_NORM_FLOOR
+from bergman_dpp.spectral import _plan_of
 from bergman_dpp.streams import PHASE_SAMPLE
 
 # the regions of tests/test_digests.py's sample digests, and an offset family
@@ -79,7 +80,7 @@ def reference_sample_positions(
     proposals = 0
     if m:
         # the float normalizers the reference added; their complex casts are exact
-        table, cum, _, log_inv = spectrum._sampler_mixture(idx, active.n_eigen)
+        table, cum, _, log_inv = _plan_of(spectrum, active.n_eigen).mixture(idx)
         mixture = table, cum, log_inv.real
         basis = np.zeros((m, m), dtype=complex)
         conj_basis = np.zeros((m, m), dtype=complex)  # conj(basis), row by row

@@ -22,6 +22,7 @@ from bergman_dpp import (
     parse_region_literal,
     sample,
 )
+from bergman_dpp.spectral import _plan_of
 
 
 # -----------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def test_feature_matrix_at_origin(disc08):
 
 def test_feature_matrix_is_sampler_expression():
     # the sampler evaluates exp(n log z + log(1/sqrt(nu_n))) with the
-    # normalizers of _sampler_mixture; feature_matrix must be that same expression
+    # normalizers of the plan's mixture; feature_matrix must be that same expression
     rng = np.random.default_rng(5)
     for literal in ("disc:0.5", "annulus:0.5:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"):
         s = BergmanSpectrum(parse_region_literal(literal))
@@ -324,7 +325,7 @@ def test_feature_matrix_is_sampler_expression():
         iv = np.array(s.region.intervals)[rng.integers(len(s.region.intervals), size=7)]
         r = np.sqrt(iv[:, 0] ** 2 + rng.random(7) * (iv[:, 1] ** 2 - iv[:, 0] ** 2))
         zs = r * np.exp(2j * math.pi * rng.random(7))
-        _, _, idx_c, log_inv = s._sampler_mixture(idx, 1001)
+        _, _, idx_c, log_inv = _plan_of(s, 1001).mixture(idx)
         expected = np.exp(np.multiply.outer(np.log(zs), idx_c) + log_inv)
         assert np.array_equal(s.feature_matrix(idx, zs), expected)
 
@@ -349,7 +350,7 @@ def test_feature_matrix_index_arrays_checked_whole(disc08):
 
 
 def _mixture(s, idx):
-    """What _sampler_mixture(idx, n) must return, written apart from it: the
+    """What a plan's mixture(idx) must return, written apart from it: the
     table of _rows(idx) index-major, the masses cumulated, and idx and the
     log normalizers as complex arrays."""
     table, mass, log_inv = s._rows(idx)
@@ -360,19 +361,6 @@ def _assert_bits(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-def test_sampler_mixture_memo(disc09):
-    # with no plan for n_eigen: one entry, keyed by the index bytes,
-    # read-only; feature_matrix calls _rows itself and leaves the entry alone
-    memo = disc09._sampler_mixture(np.arange(3), 5)
-    assert disc09._sampler_mixture(np.arange(3), 5) is memo
-    assert not any(a.flags.writeable for a in memo)
-    _assert_bits(memo, _mixture(disc09, np.arange(3)))
-    disc09.feature_matrix(np.arange(500), 0.5)
-    assert disc09._sampler_mixture(np.arange(3), 5) is memo
-    other = disc09._sampler_mixture(np.array([0, 2]), 5)
-    assert other is not memo and disc09._sampler_mixture(np.array([0, 2]), 5) is other
 
 
 def test_plan_rows_slice_to_mixture(midpoint_family):
@@ -389,12 +377,13 @@ def test_plan_rows_slice_to_mixture(midpoint_family):
         n = default_truncation(s, 5.0)
         # the plan is built whole by the first call, with or without points
         sample(s, SamplerConfig(beta=5.0, seed=1), 0)
-        assert s._plan[0] == n and s._plan[2] is not None
+        plan = s._plan
+        assert plan.n_eigen == n and plan.rows is not None
         subsets = [np.arange(n), np.array([0]), np.array([n - 1])]
         subsets += [np.flatnonzero(rng.random(n) < p) for p in rng.random(20)]
         for idx in subsets:
-            _assert_bits(s._sampler_mixture(idx, n), _mixture(s, idx))
-        assert s._memo == (None, None)  # every table came from the plan
+            _assert_bits(_plan_of(s, n).mixture(idx), _mixture(s, idx))
+        assert s._plan is plan  # every table came from the one plan
 
 
 # -----------------------------------------------------------------------------
