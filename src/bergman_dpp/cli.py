@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout to devnull, so the flush at exit has nothing to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (BergmanDPPError, OSError) as exc:  # OSError: an --out file that cannot be written
+    except (BergmanDPPError, OSError, MemoryError) as exc:  # an unwritable --out, a size no array holds
         print(f"bergman-dpp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,9 +18,12 @@ _proposals reads the four arrays of the plan's mixture(I) as they come
 phi_n), sliced from the rows of every index below N in the one plan that
 spectral._plan_of keeps per spectrum and truncation N, whoever calls.
 
-Stream discipline: point i draws chunks of
-min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms each,
-k = 0, 1, .. until one is accepted.  Chunk sizes depend only on (m, i, k),
+Stream discipline: every draw this module seeds itself reads the thread's
+Philox cell, streams._cell, which sample() resets once its truncation and
+plan, the only steps that run a spectrum's own methods, are resolved: no
+user code runs between the reset and the last draw.  Point i draws chunks
+of min(_CHUNK_CAP, ceil(m / (m - i)) * 2**k) proposals of four uniforms
+each, k = 0, 1, .. until one is accepted.  Chunk sizes depend only on (m, i, k),
 so a (seed, replica) replays byte-identically; SAMPLER_VERSION names the
 stream.  Every point draws at least its first chunk, so the rows of all
 first chunks are certain to be consumed: they are drawn and evaluated as
@@ -58,7 +61,7 @@ from .errors import (
     _truncation,
 )
 from .spectral import BergmanSpectrum, _plan_of, _spectrum_method
-from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms, make_rng
+from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms
 
 __all__ = [
     "GS_NORM_FLOOR",
@@ -127,10 +130,11 @@ class ActiveIndexSet:
         return len(self.indices)
 
     @classmethod
-    def _of_hits(cls, hits: np.ndarray) -> "ActiveIndexSet":
-        """The set of the entries of the 1-d bool array hits that are set:
+    def _drawn(cls, lam: np.ndarray, rng: np.random.Generator) -> "ActiveIndexSet":
+        """The set of one Bernoulli(lam[n]) draw per index n from rng:
         nonzero's indices are sorted, in range and int64 already, so they
         are not checked again one by one."""
+        hits = rng.random(lam.size) < lam
         active = object.__new__(cls)
         object.__setattr__(active, "indices", tuple(hits.nonzero()[0].tolist()))
         object.__setattr__(active, "n_eigen", hits.size)
@@ -211,8 +215,7 @@ def default_truncation(spectrum, beta: float) -> int:
 
 def bernoulli_phase(spectrum, n_eigen: int, rng: np.random.Generator) -> ActiveIndexSet:
     """Select each index n < n_eigen independently with probability lambda_n."""
-    lam = _plan_of(spectrum, n_eigen).lam
-    return ActiveIndexSet._of_hits(_generator(rng).random(lam.size) < lam)
+    return ActiveIndexSet._drawn(_plan_of(spectrum, n_eigen).lam, _generator(rng))
 
 
 def _rows(n: int, m: int):
@@ -251,13 +254,19 @@ def sample_positions(
     _of_type(spectrum, BergmanSpectrum, "spectrum")
     _of_type(active, ActiveIndexSet, "active set")
     _generator(rng)
+    plan = _plan_of(spectrum, active.n_eigen) if len(active) else None
+    return _positions(spectrum._literal, plan, active, rng)
+
+
+def _positions(literal: str, plan, active: ActiveIndexSet, rng) -> PointConfiguration:
+    """sample_positions through plan, unchecked: it calls nothing but rng.random."""
     idx = np.array(active.indices, dtype=int)
     m = len(idx)
     log_points = []
     rejections: list[int] = []
     proposals = 0
     if m:
-        mixture = _plan_of(spectrum, active.n_eigen).mixture(idx)
+        mixture = plan.mixture(idx)
         # point i reads only the rows of the points before it
         basis = np.empty((m, m), dtype=complex)
         conj_basis = np.empty((m, m), dtype=complex)  # conj(basis), row by row
@@ -318,7 +327,7 @@ def sample_positions(
             if consumed >= _MAX_REJECTIONS:
                 raise RejectionBudgetError(
                     f"no acceptance within {_MAX_REJECTIONS} proposals at point "
-                    f"{i + 1} of {m} (region {spectrum._literal})"
+                    f"{i + 1} of {m} (region {literal})"
                 )
         rejections.append(consumed + j)
         log_points.append(log_z_b[s + j])
@@ -337,7 +346,7 @@ def sample_positions(
             np.conjugate(np.divide(v, nrm, out=basis[i]), out=conj_basis[i])
 
     meta = SampleMeta(
-        region=spectrum._literal,
+        region=literal,
         n_eigen=active.n_eigen,
         active_indices=active.indices,
         rejections=tuple(rejections),
@@ -348,8 +357,8 @@ def sample_positions(
 
 
 def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarray:
-    """sample_positions(spectrum, active, make_rng(seed, r, PHASE_SAMPLE)).points[0]
-    for r = 0 .. replicas - 1, as one complex array, the same bits.
+    """sample_positions(spectrum, active, rng).points[0] on the (seed, r,
+    PHASE_SAMPLE) stream of each r < replicas, as one complex array, the same bits.
 
     With one active index n the first proposal's acceptance ratio is
     ||phi_n||**2 / ||phi_n||**2 = 1, above every acceptance uniform, so
@@ -357,8 +366,8 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     near GS_NORM_FLOOR that the rounding of its floor check decides.  Every
     replica's first row comes from streams._replica_uniforms' vectorized
     Philox rounds into one (replicas, 4) block and is evaluated at once; a
-    replica whose row is not such a certain accept goes through
-    sample_positions, with its errors.
+    replica whose row is not such a certain accept is drawn as
+    sample_positions draws it, with its errors, on its reset cell.
     """
     _of_type(spectrum, BergmanSpectrum, "spectrum")
     if not isinstance(active, ActiveIndexSet) or len(active) != 1:
@@ -367,24 +376,24 @@ def _single_index_points(spectrum, active, seed: int, replicas: int) -> np.ndarr
     idx = np.array(active.indices, dtype=int)
     u = np.concatenate([*_replica_uniforms(seed, np.arange(replicas), PHASE_SAMPLE, 4)])
     accept, log_z, _, norm_sq, denom = rows = _rows(len(u), 1)
-    _proposals(u, *_plan_of(spectrum, active.n_eigen).mixture(idx), rows)
+    plan = _plan_of(spectrum, active.n_eigen)
+    _proposals(u, *plan.mixture(idx), rows)
     ratio = norm_sq / denom
     # a norm above twice the floor passes the floor check however vdot rounds
     certain = (ratio == 1.0) & (accept < ratio) & (norm_sq > 4.0 * GS_NORM_FLOOR**2)
     points = np.exp(log_z)
     for r in np.flatnonzero(~certain).tolist():
-        points[r] = sample_positions(spectrum, active, make_rng(seed, r, PHASE_SAMPLE)).points[0]
+        points[r] = _positions(spectrum._literal, plan, active, _cell(seed, r, PHASE_SAMPLE)).points[0]
     return points
 
 
 def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -> PointConfiguration:
-    """Bernoulli phase then positional phase under one seeded stream."""
+    """Bernoulli phase then positional phase on the thread's cell, reset once the plan resolves."""
     replica = _as_int(replica, "replica", 0, _REPLICA_END)
-    n_eigen = _of_type(config, SamplerConfig, "config").resolve_truncation(spectrum)
-    # the thread's cell, unless another type's methods (user code) could run
-    # between its reset and its draws
-    rng = (_cell if type(spectrum) is BergmanSpectrum else make_rng)(config.seed, replica, PHASE_SAMPLE)
-    conf = sample_positions(spectrum, bernoulli_phase(spectrum, n_eigen, rng), rng)
+    plan = _plan_of(spectrum, _of_type(config, SamplerConfig, "config").resolve_truncation(spectrum))
+    literal = _of_type(spectrum, BergmanSpectrum, "spectrum")._literal
+    rng = _cell(config.seed, replica, PHASE_SAMPLE)
+    conf = _positions(literal, plan, ActiveIndexSet._drawn(plan.lam, rng), rng)
     # one report per call: the meta is this call's own, not yet shared
     object.__setattr__(conf.meta, "seed", config.seed)
     object.__setattr__(conf.meta, "replica", replica)

@@ -7,9 +7,10 @@ layout below is part of the reproducibility contract: changing it changes
 every sampled byte.
 
 A Philox4x64-10 block (Salmon et al., SC 2011) is a pure function of (key,
-counter): `_cell` loads a key into each thread's one kept generator, the
-bits of `make_rng` without its OS-entropy SeedSequence (a user resets the
-cell before it draws and holds no draw across a `yield` or user code), and
+counter).  Every sequential draw of `sampler` and `verify` reads `_cell`,
+which loads a key into each thread's one kept generator: the bits of the
+public `make_rng` without its OS-entropy SeedSequence.  A user resets the
+cell after any user code it runs and holds no draw across a `yield`.
 `_replica_uniforms` runs the rounds in uint64 numpy, in place, over every
 (replica, block) pair of many replicas.
 """

@@ -37,8 +37,7 @@ from .errors import _elements, _items, _of_type
 from .sampler import ActiveIndexSet, PointConfiguration, SamplerConfig, min_radius_cdf
 from .sampler import _moduli, _single_index_points
 from .spectral import BergmanSpectrum, _plan_of
-from .streams import PHASE_BERNOULLI, PHASE_MODULI, make_rng
-from .streams import _REPLICA_END, _SEED_END, _replica_uniforms
+from .streams import PHASE_BERNOULLI, PHASE_MODULI, _REPLICA_END, _SEED_END, _cell, _replica_uniforms
 
 __all__ = [
     "CountDistribution",
@@ -74,7 +73,7 @@ class CountDistribution:
         self.pmf = _as_reals(pmf, "pmf", 0, 1, ends="[]")
         if self.pmf.ndim != 1:
             raise DomainError("pmf must be a one-dimensional array of probabilities")
-        self._cdf = np.cumsum(self.pmf)
+        self._cdf = np.minimum(np.cumsum(self.pmf), 1.0)  # a rounded sum may pass 1
 
     def __len__(self):
         return len(self.pmf)
@@ -501,6 +500,6 @@ def verify_gates(seed: int, reps: int) -> tuple[dict, ...]:
     radii = [abs(z) for z in points.tolist()]
     rows.append(_ks_gate("positional-law:disc:0.8:index=0", radii, lambda x: (x / 0.8) ** 2).to_dict())
 
-    minima = _moduli(make_rng(seed, 0, PHASE_MODULI), reps, 20).min(axis=1)
+    minima = _moduli(_cell(seed, 0, PHASE_MODULI), reps, 20).min(axis=1)
     rows.append(_ks_gate("min-radius-law:n=20", minima, lambda x: min_radius_cdf(20, x)).to_dict())
     return tuple(rows)

@@ -553,6 +553,23 @@ def test_overflowing_trace_is_a_validation_error(argv, capsys):
     assert err.startswith("bergman-dpp: error: ") and err.count("\n") == 1
 
 
+# sizes of 10**15 float64 entries (8 PB, beyond any 64-bit address space):
+# numpy refuses the allocation at once, without touching memory
+UNALLOCATABLE = [
+    ("moduli", "--count", "1000000000000000"),
+    ("spectrum", "--region", "disc:0.9", "--n-eigen", "1000000000000000"),
+    ("sample", "--region", "disc:0.9", "--n-eigen", "1000000000000000"),
+    ("verify", "--reps", "1000000000000000"),
+]
+
+
+@pytest.mark.parametrize("argv", UNALLOCATABLE, ids=[a[0] for a in UNALLOCATABLE])
+def test_unallocatable_size_is_one_error_line(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("bergman-dpp: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["sample", "spectrum", "moduli"])
 def test_only_the_requested_format_is_built(command, capsys, monkeypatch):
     # a JSON run formats no CSV line, and a CSV run dumps no JSON report

@@ -113,6 +113,20 @@ def test_generators_rekeyed_only_in_streams():
     assert not rekeyed, f"generators re-keyed outside streams.py: {rekeyed}"
 
 
+def test_sampler_and_verify_draw_on_the_cell():
+    # every sequential draw of the sampler and the gates reads the thread's
+    # cell, for every spectrum type alike: make_rng, which pays for its own
+    # OS entropy, is the public constructor only
+    package = Path(bergman_dpp.__file__).parent
+    found = [
+        f"{name}:{number}"
+        for name in ("sampler.py", "verify.py")
+        for number, line in enumerate((package / name).read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\bmake_rng\b|\btype\([^()]*\)\s+is\b", line)
+    ]
+    assert not found, f"draws or type branches outside the cell: {found}"
+
+
 def test_spectrum_caches_read_only_in_spectral():
     # spectral._plan_of is the one checked path to a spectrum's eigenvalues
     # and rows, and the plan's mixture the one path from its rows to the

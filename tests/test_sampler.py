@@ -344,8 +344,8 @@ def test_plan_arrays_are_read_only(spectrum):
 
 class CountingSpectrum(BergmanSpectrum):
     """A subclass, whose methods sample treats as user code: it keeps its
-    plan as the base class does, but draws from make_rng rather than the
-    thread's kept generator."""
+    plan as the base class does, and sample runs its eigenvalues before it
+    resets the thread's cell, from which it draws as for the base class."""
 
     def __init__(self, region):
         super().__init__(region)
@@ -370,6 +370,30 @@ def test_subclass_samples_like_the_base_class(literal):
     for _ in range(3):
         assert spectral._plan_of(sub, n) is sub._plan
     assert sub.calls == 1
+
+
+class NestedSpectrum(CountingSpectrum):
+    """A subclass whose eigenvalues samples another spectrum on the same
+    thread, so it resets and draws the thread's cell in the middle of the
+    outer sample call."""
+
+    def eigenvalues(self, n_eigen):
+        sample(BergmanSpectrum.annulus(0.5, 0.9), SamplerConfig(n_eigen=12, seed=3), 1)
+        return super().eigenvalues(n_eigen)
+
+
+@pytest.mark.parametrize("literal", ["disc:0.9", "intervals:0.1-0.3,0.5-0.7,0.85-0.95"])
+def test_nested_sample_in_eigenvalues_keeps_the_bytes(literal):
+    # sample resolves the plan, and so runs the subclass's eigenvalues, before
+    # it resets the cell: a fresh spectrum per replica re-enters every time
+    region = parse_region_literal(literal)
+    config = SamplerConfig(beta=5.0, seed=7)
+    spectra = [NestedSpectrum(region) for _ in range(30)]
+    got = [sample(spectrum, config, r).to_dict() for r, spectrum in enumerate(spectra)]
+    assert all(spectrum.calls == 1 for spectrum in spectra)
+    base = BergmanSpectrum(region)
+    assert got == [sample(base, config, r).to_dict() for r in range(30)]
+    assert any(conf["points"] for conf in got)
 
 
 def test_plan_shared_across_threads():
@@ -616,8 +640,8 @@ def test_single_index_points_match_sample_positions(literal):
 
 def _pin_first_row(monkeypatch, replica, row):
     """Pin the first proposal row of one replica's stream, in the block of
-    rows and in the replica's own generator alike."""
-    replica_uniforms, make = sampler._replica_uniforms, sampler.make_rng
+    rows and in the replica's reset cell alike."""
+    replica_uniforms, cell = sampler._replica_uniforms, sampler._cell
 
     def pinned(r, rng):
         return _PinnedFirstDraw(row, rng) if r == replica else rng
@@ -631,7 +655,7 @@ def _pin_first_row(monkeypatch, replica, row):
             yield rows
 
     monkeypatch.setattr(sampler, "_replica_uniforms", pinned_rows)
-    monkeypatch.setattr(sampler, "make_rng", lambda seed, r, phase: pinned(r, make(seed, r, phase)))
+    monkeypatch.setattr(sampler, "_cell", lambda seed, r, phase: pinned(r, cell(seed, r, phase)))
     return pinned
 
 
@@ -1163,7 +1187,6 @@ def test_sample_builds_one_generator_per_thread(monkeypatch, disc09):
 
     make = streams.make_rng
     monkeypatch.setattr(streams, "make_rng", counted)
-    monkeypatch.setattr(sampler, "make_rng", counted)
     config = SamplerConfig(beta=5.0, seed=8)
     # a new thread has no cell yet: its first call builds it, and no other does
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -114,6 +114,22 @@ def test_count_distribution_hand_case():
     assert (d.quantile(0.1), d.quantile(0.9)) == (0, 2)
 
 
+@pytest.mark.parametrize("radius, n_eigen", [(0.9, 22), (0.9995, 27624)])
+def test_count_distribution_cdf_is_a_probability(radius, n_eigen):
+    # the running sum of disc:0.9's pmf reaches 1.0000000000000002 at k = 21;
+    # every cdf(k) is a probability all the same, and quantile still finds
+    # the first count whose running sum reaches p
+    d = count_pmf(BergmanSpectrum.disc(radius).eigenvalues(n_eigen))
+    cdf = [d.cdf(k) for k in range(-1, len(d) + 1)]
+    assert all(0.0 <= c <= 1.0 for c in cdf)
+    assert cdf == sorted(cdf) and cdf[-1] == d.cdf(len(d) - 1)
+    running = np.cumsum(d.pmf)
+    for p in (0.0, 1e-3, 0.5, 1 - 1e-3, 1.0):
+        assert d.quantile(p) == min(int(np.searchsorted(running, p)), len(d) - 1)
+    if n_eigen == 22:
+        assert running[21] > 1.0 and cdf[22] == 1.0
+
+
 # -----------------------------------------------------------------------------
 # exact count law
 # -----------------------------------------------------------------------------
