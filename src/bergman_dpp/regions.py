@@ -194,7 +194,11 @@ class FamilySpec:
         a0 = _as_real(self.a0, "family seed a0", 0, 1, RegionError)
         _as_real(self.b0, "family seed b0", a0, 1, RegionError)
         _of_type(self.weights, GeometricWeights, "family weights", RegionError)
-        count = _as_int(self.count, "family count", 1, error=RegionError)
+        import decimal
+        # construct_family tries up to 8 * (60 + 2 * count) digits, which
+        # a decimal context must hold
+        count_end = (decimal.MAX_PREC // 8 - 60) // 2 + 1
+        count = _as_int(self.count, "family count", 1, count_end, RegionError)
         object.__setattr__(self, "count", count)
         if self.rule not in _RULES:
             raise RegionError(f"unknown placement rule {self.rule!r}, expected one of {_RULES}")

@@ -60,7 +60,7 @@ from .errors import (
     _of_type,
     _truncation,
 )
-from .spectral import BergmanSpectrum, _plan_of, _spectrum_method
+from .spectral import _ENTRIES_END, BergmanSpectrum, _plan_of, _spectrum_method
 from .streams import _REPLICA_END, _SEED_END, PHASE_SAMPLE, _cell, _replica_uniforms
 
 __all__ = [
@@ -406,7 +406,7 @@ def sample(spectrum: BergmanSpectrum, config: SamplerConfig, replica: int = 0) -
 
 def sample_moduli(n: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the moduli set {U_k**(1/(2k)), k = 1..n}, U_k iid uniform."""
-    return _moduli(_generator(rng), 1, _as_int(n, "count", 1))[0]
+    return _moduli(_generator(rng), 1, _as_int(n, "count", 1, _ENTRIES_END))[0]
 
 
 def _moduli(rng: np.random.Generator, reps: int, n: int) -> np.ndarray:
@@ -425,7 +425,7 @@ def min_radius_cdf(n: int, x):
     array of x's shape otherwise, each entry the same bits as the call on
     that real alone.
     """
-    n = _as_int(n, "count", 1)
+    n = _as_int(n, "count", 1, _ENTRIES_END)
     xs = _as_reals(x, "x", -math.inf)
     out = np.where(xs >= 1.0, 1.0, 0.0)
     inside = (0.0 < xs) & (xs < 1.0)
@@ -436,5 +436,5 @@ def min_radius_cdf(n: int, x):
         k = np.arange(1, n + 1, dtype=float)
         sums = np.log1p(-(v[:, None] ** (2.0 * k))).sum(axis=1)
         # math.expm1 per value: np.expm1 rounds differently on some hosts
-        out[inside] = [-math.expm1(s) for s in sums.tolist()]
+        out[inside] = -np.fromiter(map(math.expm1, sums.tolist()), float, v.size)
     return float(out) if out.ndim == 0 else out

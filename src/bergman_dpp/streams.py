@@ -12,7 +12,10 @@ which loads a key into each thread's one kept generator: the bits of the
 public `make_rng` without its OS-entropy SeedSequence.  A user resets the
 cell after any user code it runs and holds no draw across a `yield`.
 `_replica_uniforms` runs the rounds in uint64 numpy, in place, over every
-(replica, block) pair of many replicas.
+(replica, block) pair of many replicas.  Block c enters the first round as
+the counter [c, 0, 0, 0], whose products need no key word, so that round's
+output is written in closed form from M0 c, taken once per block in ints,
+and only the other nine rounds run over the arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ _REPLICA_END = 1 << 56
 # Philox4x64-10 multipliers and key bumps, as numpy's Philox uses them; the
 # multipliers in the order of the words they take after an even number of
 # rounds (row 0) and an odd one (row 1), whole and as 32-bit halves
+_M0, _M1, _MASK = 0xD2E7470EE14C6C93, 0xCA5A826395121157, (1 << 64) - 1
 _LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[[[0, 1], [1, 0]]]
+_MUL = np.array([_M0, _M1], dtype=np.uint64)[[[0, 1], [1, 0]]]
 _MULS = np.stack((_MUL, _MUL >> _32, _MUL & _LO))[..., None, None]
 _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # rows of up to _VECTOR_ROW uniforms are vectorized (the widest row at which
@@ -81,18 +85,25 @@ def _cell(seed: int, replica: int, phase: int) -> np.random.Generator:
 
 def _philox_rows(seed: int, replicas: np.ndarray, phase: int, n: int) -> np.ndarray:
     """make_rng(seed, r, phase).random(n) for each r in replicas, as rows."""
-    # numpy's Philox bumps its counter before each block: block c is [c, 0, 0, 0]
     blocks = -(-n // 4)
     # b and c hold the words [x0, x2] and [x1, x3] after an even number of
     # rounds, [x2, x0] and [x3, x1] after an odd one; the rounds run in place
-    b, c, hi, mid, t, u = np.zeros((6, 2, replicas.size, blocks), dtype=np.uint64)
-    b[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    b, c, hi, mid, t, u = np.empty((6, 2, replicas.size, blocks), dtype=np.uint64)
     # full-size multipliers and key words: numpy multiplies and xors two
     # contiguous uint64 arrays faster than an array and a broadcast one
     mul, mul_hi, mul_lo = np.broadcast_to(_MULS, (3, 2, *b.shape)).copy()
     k1 = np.repeat((replicas.astype(np.uint64) << np.uint64(8) | np.uint64(phase))[:, None], blocks, 1)
-    k0 = seed  # bumps as a masked int: a uint64 scalar would warn on wrapping
-    for p in (0, 1) * 5:
+    # numpy's Philox bumps its counter before each block: block c enters as
+    # [c, 0, 0, 0], so round 1 leaves x0 = k0, x1 = 0, x2 = hi(M0 c) ^ k1
+    # and x3 = lo(M0 c), with the product M0 c taken once per block in ints
+    m0c = [_M0 * i for i in range(1, blocks + 1)]
+    np.bitwise_xor(k1, np.array([m >> 64 for m in m0c], dtype=np.uint64), out=b[0])
+    b[1] = seed
+    c[0] = np.array([m & _MASK for m in m0c], dtype=np.uint64)
+    c[1] = 0
+    k0 = (seed + _BUMP[0]) & _MASK  # bumps as a masked int: a uint64 scalar would warn on wrapping
+    k1 += np.uint64(_BUMP[1])
+    for p in (1, 0) * 4 + (1,):
         # the 128-bit products mul[p] * b: low words in b, high words in hi,
         # from 32-bit halves as in Hacker's Delight's mulhu
         np.right_shift(b, _32, out=hi)
@@ -115,7 +126,7 @@ def _philox_rows(seed: int, replicas: np.ndarray, phase: int, n: int) -> np.ndar
         hi[1 - p] ^= np.uint64(k0)
         hi[p] ^= k1
         b, c, hi = hi, b, c
-        k0 = (k0 + _BUMP[0]) & 0xFFFFFFFFFFFFFFFF
+        k0 = (k0 + _BUMP[0]) & _MASK
         k1 += np.uint64(_BUMP[1])
     words = np.stack((b[0], c[0], b[1], c[1]), axis=-1).reshape(replicas.size, 4 * blocks)
     return np.right_shift(words, np.uint64(11), out=words)[:, :n] * 2.0**-53

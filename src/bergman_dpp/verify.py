@@ -410,7 +410,7 @@ def ks_statistic(samples, cdf) -> float:
 
 def ks_critical_value(n: int, alpha: float = 1e-3) -> float:
     """Asymptotic critical value sqrt(-ln(alpha/2)/2) / sqrt(n), slightly conservative."""
-    n = _as_int(n, "sample size", 1)
+    n = _as_int(n, "sample size", 1, _INDEX_END)
     alpha = _as_real(alpha, "alpha", 0, 1)
     return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)
 

@@ -5,6 +5,7 @@ outside its range (a point outside the region, a pair of the wrong length);
 each must raise the package's named error (never a bare TypeError,
 ValueError or OverflowError, and never truncate 1.5 to 1)."""
 
+import decimal
 import math
 
 import numpy as np
@@ -62,6 +63,8 @@ BEYOND_INT64 = (1 << 63, 1 << 64)
 BEYOND_ARRAY = (1 << 60, 1 << 62)
 # an integer no float holds; ids show its first 40 digits
 BEYOND_FLOAT = (10**400,)
+# construct_family tries up to 8 * (60 + 2 * count) digits
+FAMILY_END = (decimal.MAX_PREC // 8 - 60) // 2 + 1
 
 SPEC = BergmanSpectrum.disc(0.9)
 HALF = BergmanSpectrum.disc(0.5)
@@ -98,9 +101,10 @@ INT_CASES = [
     ("make_rng.phase", lambda v: make_rng(0, 0, v), 3, (-1, 256), DomainError),
     ("sample.replica", lambda v: sample(SPEC, SamplerConfig(n_eigen=3), v), 1, (-1, 1 << 56), DomainError),
     ("bernoulli_phase.n_eigen", lambda v: bernoulli_phase(SPEC, v, make_rng(0)), 4, (0,), DomainError),
-    ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,), DomainError),
-    ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,), DomainError),
-    ("FamilySpec.count", lambda v: _family(count=v), 4, (0,), RegionError),
+    ("sample_moduli.n", lambda v: sample_moduli(v, make_rng(0)), 4, (0,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
+    ("min_radius_cdf.n", lambda v: min_radius_cdf(v, 0.5), 4, (0,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
+    # the last count whose largest construction precision a decimal context holds
+    ("FamilySpec.count", lambda v: _family(count=v), FAMILY_END - 1, (0, FAMILY_END, 10**20), RegionError),
     ("BergmanSpectrum.eigenvalues", SPEC.eigenvalues, 4, (-1,) + BEYOND_ARRAY + BEYOND_INT64, DomainError),
     ("BergmanSpectrum.eigenvalues.intervals", THREE.eigenvalues, 4, (1 << 59,), DomainError),
     ("BergmanSpectrum.eigenvalue", SPEC.eigenvalue, 4, (-1,) + BEYOND_INT64, DomainError),
@@ -123,7 +127,7 @@ INT_CASES = [
         "mc_count_stats.reps",
         lambda v: mc_count_stats(SPEC, SamplerConfig(n_eigen=5), v), 4, (0, 1 << 56), DomainError,
     ),
-    ("ks_critical_value.n", ks_critical_value, 4, (0,), DomainError),
+    ("ks_critical_value.n", ks_critical_value, 4, (0,) + BEYOND_INT64 + BEYOND_FLOAT, DomainError),
     ("verify_gates.seed", lambda v: verify_gates(v, 200), 7, (-1, 1 << 64), DomainError),
     # below 13 replicas the count-law gate has fewer than two cells
     ("verify_gates.reps", lambda v: verify_gates(7, v), 200, (0, 1, 12, 1 << 56), DomainError),

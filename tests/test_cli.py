@@ -570,6 +570,22 @@ def test_unallocatable_size_is_one_error_line(argv, capsys):
     assert err.startswith("bergman-dpp: error: ") and err.count("\n") == 1
 
 
+# counts past their bound: 10**20 moduli are beyond the 2**60 float64
+# entries any array holds, and a family of 10**20 annuli beyond the digits
+# any decimal context holds
+BEYOND_BOUND = [
+    ("moduli", "--count", "100000000000000000000"),
+    ("region", "--spec", "family:a0=0.2,b0=0.3,u0=0.1,q=0.5,K=100000000000000000000"),
+]
+
+
+@pytest.mark.parametrize("argv", BEYOND_BOUND, ids=[a[0] for a in BEYOND_BOUND])
+def test_count_beyond_bound_is_one_error_line(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("bergman-dpp: error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["sample", "spectrum", "moduli"])
 def test_only_the_requested_format_is_built(command, capsys, monkeypatch):
     # a JSON run formats no CSV line, and a CSV run dumps no JSON report

@@ -1072,7 +1072,9 @@ def _make_rng_bits(seed, replicas, phase, n):
     return np.array([make_rng(seed, r, phase).random(n) for r in replicas]).view(np.uint64)
 
 
-@pytest.mark.parametrize("phase", [PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI])
+# phase 255 sets every bit of the key's low byte, which the closed-form
+# first round xors into hi(M0 c) with the replica
+@pytest.mark.parametrize("phase", [PHASE_SAMPLE, PHASE_BERNOULLI, PHASE_MODULI, 255])
 @pytest.mark.parametrize("seed", [0, 12, (1 << 64) - 1])
 def test_replica_uniforms_match_make_rng(seed, phase):
     # every row holds the bits of the replica's own make_rng cell, on both
